@@ -96,9 +96,6 @@ class E1Page:
     twist: int
     entries: tuple[tuple[Position, E1Entry], ...]
 
-    def as_dict(self) -> dict[Position, E1Entry]:
-        return dict(self.entries)
-
     @property
     def euler(self) -> int:
         return sum((-1) ** (q - p) * e.dim for (p, q), e in self.entries)
@@ -239,26 +236,43 @@ def chase_summand(q_weight: Weight, twist: int, overrides=()) -> ChaseResult:
     return chase(page, overrides)
 
 
-def _override_from_json(obj) -> RankOverride:
-    return RankOverride(
-        q_weight=tuple(obj["q_weight"]),
-        twist=int(obj["twist"]),
-        source=(int(obj["source"]["p"]), int(obj["source"]["q"])),
-        target=(int(obj["target"]["p"]), int(obj["target"]["q"])),
-        rank=int(obj["rank"]),
-        note=obj.get("note", ""),
-    )
+def _override_from_json(obj, index: int) -> RankOverride:
+    """Entry ``index`` of an override list; a missing or non-integer field
+    raises OverrideError naming the entry and the field."""
+
+    def field(*path):
+        value = obj
+        for depth, key in enumerate(path, 1):
+            if not isinstance(value, dict) or key not in value:
+                name = ".".join(path[:depth])
+                raise OverrideError(f"override {index}: missing field {name!r}")
+            value = value[key]
+        return value
+
+    def integer(*path):
+        value = field(*path)
+        if type(value) is not int:
+            raise OverrideError(
+                f"override {index}: field {'.'.join(path)!r} is not an integer: {value!r}"
+            )
+        return value
+
+    weight = field("q_weight")
+    if not isinstance(weight, list) or any(type(x) is not int for x in weight):
+        raise OverrideError(
+            f"override {index}: field 'q_weight' is not a list of integers: {weight!r}"
+        )
+    twist, rank = integer("twist"), integer("rank")
+    source = (integer("source", "p"), integer("source", "q"))
+    target = (integer("target", "p"), integer("target", "q"))
+    try:
+        return RankOverride(tuple(weight), twist, source, target, rank, obj.get("note", ""))
+    except ValueError as exc:  # illegal differential position or negative rank
+        raise OverrideError(f"override {index}: {exc}") from None
 
 
-def _override_to_json(ov: RankOverride) -> dict:
-    return {
-        "q_weight": list(ov.q_weight),
-        "twist": ov.twist,
-        "source": {"p": ov.source[0], "q": ov.source[1]},
-        "target": {"p": ov.target[0], "q": ov.target[1]},
-        "rank": ov.rank,
-        "note": ov.note,
-    }
+def _overrides_from_json(items) -> tuple[RankOverride, ...]:
+    return tuple(_override_from_json(obj, i) for i, obj in enumerate(items))
 
 
 PRESETS = {"paper-4.2": "overrides_paper42.json"}
@@ -269,7 +283,7 @@ def get_preset(name: str) -> tuple[RankOverride, ...]:
     if name not in PRESETS:
         raise ValueError(f"unknown override preset: {name!r}")
     text = resources.files("dvschur.data").joinpath(PRESETS[name]).read_text()
-    return tuple(_override_from_json(obj) for obj in json.loads(text)["overrides"])
+    return _overrides_from_json(json.loads(text)["overrides"])
 
 
 def load_overrides(source: str) -> tuple[RankOverride, ...]:
@@ -281,5 +295,7 @@ def load_overrides(source: str) -> tuple[RankOverride, ...]:
             data = json.load(fh)
     except OSError:
         raise ValueError(f"unknown override preset: {source!r}") from None
-    items = data["overrides"] if isinstance(data, dict) else data
-    return tuple(_override_from_json(obj) for obj in items)
+    items = data.get("overrides") if isinstance(data, dict) else data
+    if not isinstance(items, list):
+        raise OverrideError(f"{source}: expected a list of overrides")
+    return _overrides_from_json(items)

@@ -10,6 +10,12 @@ the splitting-principle oracle (weight enumeration, normative) and closed
 polynomial formulas in the canonical triple (m,t,s).  The degree-4 closed
 coefficient is refitted from the oracle because its published quadratic
 term is garbled; see ``alpha2_coefficients``.
+
+The Chern character of an endomorphism bundle End E is the product
+ch(E) * ch(E)^dual, one oracle call per bundle.  It does not use the
+Littlewood-Richardson split of End E, so Euler characteristics computed
+from it are an independent check on that split and on the chase; the
+per-summand sum over the split is kept as a test (``tests/test_ring.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .partitions import (
     check_dominant,
     weyl_dim,
 )
-from .schur import end_decomposition, kostka
+from .schur import kostka
 
 Q = Fraction
 
@@ -89,6 +95,10 @@ class RingElement:
             ),
         )
 
+    def dual(self) -> "RingElement":
+        """Chern character of the dual bundle: odd Chern degrees change sign."""
+        return RingElement(self.one, -self.h, self.h2, self.ch2, -self.ch3, self.pt)
+
     def degree_part(self, n: int) -> "RingElement":
         if n == 0:
             return RingElement(one=self.one)
@@ -101,10 +111,6 @@ class RingElement:
         if n == 8:
             return RingElement(pt=self.pt)
         raise ValueError(f"no component in degree {n}")
-
-
-def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    return a * b
 
 
 def integrate(a: RingElement) -> Fraction:
@@ -263,11 +269,6 @@ def ch_oracle(lam: Weight) -> RingElement:
     return total
 
 
-def ch_of_summand(q_weight: Weight, twist: int) -> RingElement:
-    """Chern character of Sigma_q_weight Q tensor O(twist)."""
-    return ch_oracle(tuple(x + twist for x in q_weight))
-
-
 # ---------------------------------------------------------------------------
 # closed-form Chern polynomials in the canonical triple (m, t, s)
 
@@ -393,14 +394,13 @@ def ch_closed(c: CanonicalQPartition) -> RingElement:
 
 @cache
 def ch_end(triple: tuple[int, int, int]) -> RingElement:
-    """Chern character of End(Sigma_(m,t,s,0) Q), summed over its pieces."""
-    c = CanonicalQPartition(*triple)
-    total = RingElement()
-    for summand in end_decomposition(c):
-        total = total + summand.multiplicity * ch_of_summand(
-            summand.q_weight, summand.twist
-        )
-    return total
+    """Chern character of End(Sigma_(m,t,s,0) Q) as ch(E) * ch(E)^dual.
+
+    One oracle call; the sum over the Littlewood-Richardson pieces of End E
+    gives the same class and is checked against this in the tests.
+    """
+    ch = ch_oracle(CanonicalQPartition(*triple).weight)
+    return ch * ch.dual()
 
 
 def _triple(lam: Weight) -> tuple[int, int, int]:

@@ -38,6 +38,27 @@ def test_unknown_preset_rejected_before_computation(capsys):
     assert "unknown override preset" in captured.err
 
 
+def test_override_file_missing_field_exit_one(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"overrides": [
+        {"q_weight": [5, 5, 2, 0], "twist": -3, "rank": 220,
+         "target": {"p": 9, "q": 11}},
+    ]}))
+    assert main(["ext", "--lambda", "2,1,0,0", "--overrides", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: override 0: missing field 'source'")
+
+
+def test_override_file_non_integer_rank_exit_one(capsys, tmp_path):
+    entry = {"q_weight": [5, 5, 2, 0], "twist": -3, "rank": 220,
+             "source": {"p": 11, "q": 12}, "target": {"p": 9, "q": 11}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([entry, dict(entry, rank="220")]))
+    assert main(["ext", "--lambda", "2,1,0,0", "--overrides", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: override 1: field 'rank' is not an integer")
+
+
 def test_cohomology_golden(capsys):
     code, out = run(capsys, "cohomology", "--lambda", "5,5,2,0",
                     "--twist", "-3", "--overrides", "paper-4.2")

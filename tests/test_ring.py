@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 from hypothesis import given, settings, strategies as st
 
-from dvschur.partitions import CanonicalQPartition, weyl_dim
+from dvschur.partitions import CanonicalQPartition, dual, weyl_dim
 from dvschur.ring import (
     extended_vector_candidate,
     C2X,
@@ -22,6 +22,7 @@ from dvschur.ring import (
     atomicity_report,
     c2x_multiple,
     ch_closed,
+    ch_end,
     ch_oracle,
     chi_endo,
     chi_endo_closed,
@@ -39,6 +40,7 @@ from dvschur.ring import (
     xi_end_integral,
     xi_poly,
 )
+from dvschur.schur import end_decomposition
 
 
 def canonical_triples(max_m):
@@ -169,8 +171,23 @@ def test_chi_examples():
 
 
 def test_chi_closed_matches_hrr():
-    for m, t, s in canonical_triples(6):
+    for m, t, s in canonical_triples(10):
         assert chi_endo((m, t, s, 0)) == chi_endo_closed(m, t, s), (m, t, s)
+    assert chi_endo((18, 0, 0, 0)) == chi_endo_closed(18, 0, 0)
+
+
+def test_ch_end_matches_sum_over_summands():
+    # ch(End E) = ch(E) ch(E)^dual against the sum over the Littlewood-Richardson
+    # pieces of End E, in all six coordinates; and the dual of a Chern
+    # character is the oracle on the dual weight
+    for m, t, s in canonical_triples(5):
+        lam = (m, t, s, 0)
+        pieces = RingElement()
+        for summand in end_decomposition(CanonicalQPartition(m, t, s)):
+            weight = tuple(x + summand.twist for x in summand.q_weight)
+            pieces = pieces + summand.multiplicity * ch_oracle(weight)
+        assert pieces == ch_end((m, t, s)), (m, t, s)
+        assert ch_oracle(lam).dual() == ch_oracle(dual(lam)), (m, t, s)
 
 
 def test_chi_invariant_under_twist_and_dual():
@@ -179,10 +196,7 @@ def test_chi_invariant_under_twist_and_dual():
 
 
 def test_chi_via_dual_product():
-    # the summand-free route: integrate ch(F) ch(F-dual) td directly
-    from dvschur.partitions import dual
-    from dvschur.ring import TODD, integrate
-
+    # integrate ch(F) ch(F-dual) td with the dual taken by the oracle
     for m, t, s in canonical_triples(5):
         lam = (m, t, s, 0)
         direct = integrate(ch_oracle(lam) * ch_oracle(dual(lam)) * TODD)
