@@ -15,7 +15,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from dvschur.cli import _ext_markdown, _koszul_markdown  # noqa: E402
+from dvschur.cli import ext_markdown, koszul_markdown  # noqa: E402
 from dvschur.ext import reproduce_table1  # noqa: E402
 from dvschur.koszul import get_preset  # noqa: E402
 from dvschur.plethysm import koszul_factor_table  # noqa: E402
@@ -36,12 +36,12 @@ def main() -> int:
         for p, published in enumerate(koszul_reference())
         if frozenset(columns[p]) != published
     ]
-    (outdir / "koszul_table.md").write_text(_koszul_markdown(columns) + "\n")
+    (outdir / "koszul_table.md").write_text(koszul_markdown(columns) + "\n")
     print(f"koszul table: {len(bad)} mismatched columns -> {outdir/'koszul_table.md'}")
 
     reports = reproduce_table1(get_preset("paper-4.2"))
     cells = diff_against_paper(reports)
-    (outdir / "ext_table.md").write_text(_ext_markdown(reports, cells) + "\n")
+    (outdir / "ext_table.md").write_text(ext_markdown(reports, cells) + "\n")
     n_annotated = sum(c.status == "annotated" for c in cells)
     n_bad = len(unannotated_mismatches(cells))
     print(

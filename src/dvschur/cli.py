@@ -100,7 +100,9 @@ def _ext_json(report: ext.ExtReport, with_summands: bool) -> dict:
     return out
 
 
-def _ext_markdown(reports, diff_cells=None) -> str:
+def ext_markdown(reports, diff_cells=None) -> str:
+    """Ext reports as a markdown table, with a column of diff notes when
+    the published-table diff cells are given."""
     with_diff = diff_cells is not None
     statuses = {}
     for cell in diff_cells or ():
@@ -150,7 +152,8 @@ def _ext_csv(reports) -> str:
     return "\n".join(lines)
 
 
-def _koszul_markdown(columns) -> str:
+def koszul_markdown(columns) -> str:
+    """Columns p = 0..10 of the Koszul factor table as a markdown grid."""
     shown = [sorted(col, reverse=True) for col in columns[:11]]
     height = max(len(col) for col in shown)
     header = "| " + " | ".join(f"p={p}" for p in range(len(shown))) + " |"
@@ -269,7 +272,7 @@ def _cmd_bwb(args) -> int:
 def _cmd_koszul_table(args) -> int:
     columns = plethysm.koszul_factor_table()
     if args.fmt == "markdown":
-        print(_koszul_markdown(columns))
+        print(koszul_markdown(columns))
     elif args.fmt == "csv":
         lines = ["p,weight,mult"]
         for p, col in enumerate(columns):
@@ -319,7 +322,7 @@ def _cmd_ext(args) -> int:
     lam = parse_weight(args.lam, 4)
     report = ext.ext_groups(lam, _overrides_from_args(args), args.jobs)
     if args.fmt == "markdown":
-        print(_ext_markdown([report]))
+        print(ext_markdown([report]))
     elif args.fmt == "csv":
         print(_ext_csv([report]))
     else:
@@ -330,7 +333,7 @@ def _cmd_ext(args) -> int:
 def _cmd_sym(args) -> int:
     report = ext.sym_ext(args.m, _overrides_from_args(args), args.jobs)
     if args.fmt == "markdown":
-        print(_ext_markdown([report]))
+        print(ext_markdown([report]))
     elif args.fmt == "csv":
         print(_ext_csv([report]))
     else:
@@ -347,7 +350,7 @@ def _cmd_table1(args) -> int:
     cells = reference.diff_against_paper(reports)
     bad = reference.unannotated_mismatches(cells)
     if args.fmt == "markdown":
-        print(_ext_markdown(reports, cells))
+        print(ext_markdown(reports, cells))
     elif args.fmt == "csv":
         print(_ext_csv(reports))
     else:

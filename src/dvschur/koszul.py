@@ -287,14 +287,23 @@ def get_preset(name: str) -> tuple[RankOverride, ...]:
 
 
 def load_overrides(source: str) -> tuple[RankOverride, ...]:
-    """Resolve a preset name or a JSON file path to an override tuple."""
+    """Resolve a preset name or a JSON file path to an override tuple.
+
+    A path that cannot be read raises ValueError with the OS reason and the
+    preset names; a file that is not JSON raises OverrideError naming it.
+    """
     if source in PRESETS:
         return get_preset(source)
     try:
         with open(source) as fh:
             data = json.load(fh)
-    except OSError:
-        raise ValueError(f"unknown override preset: {source!r}") from None
+    except OSError as exc:
+        raise ValueError(
+            f"unknown override preset or unreadable override file: {source!r} "
+            f"({exc.strerror}; presets: {', '.join(sorted(PRESETS))})"
+        ) from None
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise OverrideError(f"{source}: not valid JSON: {exc}") from None
     items = data.get("overrides") if isinstance(data, dict) else data
     if not isinstance(items, list):
         raise OverrideError(f"{source}: expected a list of overrides")

@@ -2,8 +2,14 @@
 
 The third wedge of C^6 has dimension 20 and weights the indicator vectors of
 3-element subsets of {1..6}.  Exterior powers are decomposed exactly: the
-dominant weight multiplicities come from enumerating p-subsets, and
-irreducible pieces are split off greedily with Kostka numbers.
+dominant weight multiplicities of the p-th power count the p-subsets of the
+20 weights by their sum, and irreducible pieces are split off greedily with
+Kostka numbers.
+
+The counts come from one knapsack pass over the 20 weights (layer p maps a
+weight sum to the number of p-subsets with that sum), kept for p <= 10 only.
+A p-subset is the complement of a (20-p)-subset, so the layers p > 10 are
+the mirrored layers 20-p.
 """
 
 from __future__ import annotations
@@ -31,27 +37,58 @@ def wedge3_weights() -> list[Weight]:
 
 
 @cache
+def _dominant_layers() -> tuple[dict[Weight, int], ...]:
+    """Dominant weight multiplicities of the exterior powers p = 0..10.
+
+    Knapsack over the 20 weights, each packed into six 4-bit fields: adding
+    weight w with p descending moves every count of layer p at sum s to
+    layer p+1 at sum s+w.  A coordinate of a sum of at most ten weights is at
+    most 10 (each index lies in ten of the triples), so no field overflows.
+    Only the weakly decreasing sums of each full layer are kept.
+    """
+    half = WEDGE_RANK // 2
+    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(half)]
+    for k, triple in enumerate(combinations(range(6), 3)):
+        packed = sum(1 << (4 * i) for i in triple)
+        for p in range(min(k, half - 1), -1, -1):
+            up = layers[p + 1]
+            get = up.get
+            for s, n in layers[p].items():
+                s += packed
+                up[s] = get(s, 0) + n
+    out = []
+    for layer in layers:
+        counts: dict[Weight, int] = {}
+        for s, n in layer.items():
+            w = (
+                s & 15,
+                (s >> 4) & 15,
+                (s >> 8) & 15,
+                (s >> 12) & 15,
+                (s >> 16) & 15,
+                (s >> 20) & 15,
+            )
+            if w[0] >= w[1] >= w[2] >= w[3] >= w[4] >= w[5]:
+                counts[w] = n
+        out.append(counts)
+    return tuple(out)
+
+
 def _dominant_multiplicities(p: int) -> dict[Weight, int]:
     """Multiplicity of each dominant weight in the p-th exterior power.
 
-    Sums of p-subsets are accumulated only when already weakly decreasing;
-    per-coordinate sums stay below 16, so six 4-bit fields per weight are safe.
+    For p <= 10 this is layer p of the knapsack.  For p > 10 a p-subset is
+    the complement of a (20-p)-subset, whose sum is TOP_WEIGHT minus its own,
+    so m_p(w) = m_{20-p}(TOP_WEIGHT - w), and reversing the coordinates keeps
+    the mirrored weight dominant.
     """
-    packed = [sum(1 << (4 * i) for i in triple) for triple in combinations(range(6), 3)]
-    counts: dict[Weight, int] = {}
-    for subset in combinations(packed, p):
-        s = sum(subset)
-        w = (
-            s & 15,
-            (s >> 4) & 15,
-            (s >> 8) & 15,
-            (s >> 12) & 15,
-            (s >> 16) & 15,
-            (s >> 20) & 15,
-        )
-        if w[0] >= w[1] >= w[2] >= w[3] >= w[4] >= w[5]:
-            counts[w] = counts.get(w, 0) + 1
-    return counts
+    layers = _dominant_layers()
+    if p < len(layers):
+        return layers[p]
+    return {
+        tuple(10 - x for x in reversed(w)): n
+        for w, n in layers[WEDGE_RANK - p].items()
+    }
 
 
 @cache

@@ -232,6 +232,15 @@ def _solve(matrix, vector):
 
 
 @cache
+def _power_sum_product(pi: Weight) -> RingElement:
+    """The product of the power sums p_k of the Chern roots over the parts k of pi."""
+    piece = ONE
+    for k in pi:
+        piece = piece * _POWER_SUM[k]
+    return piece
+
+
+@cache
 def ch_oracle(lam: Weight) -> RingElement:
     """Chern character of Sigma_lam Q by the splitting principle.
 
@@ -262,10 +271,7 @@ def ch_oracle(lam: Weight) -> RingElement:
         for pi, c in zip(parts, coeffs):
             if not c:
                 continue
-            piece = ONE
-            for k in pi:
-                piece = piece * _POWER_SUM[k]
-            total = total + c * piece
+            total = total + c * _power_sum_product(pi)
     return total
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dvschur.cli import main
 
 
@@ -57,6 +59,26 @@ def test_override_file_non_integer_rank_exit_one(capsys, tmp_path):
     assert main(["ext", "--lambda", "2,1,0,0", "--overrides", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: override 1: field 'rank' is not an integer")
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("missing.json", "No such file or directory"),
+    ("", "Is a directory"),
+])
+def test_override_path_unreadable_exit_one(capsys, tmp_path, name, reason):
+    path = str(tmp_path / name) if name else str(tmp_path)
+    assert main(["ext", "--lambda", "1,0,0,0", "--overrides", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown override preset or unreadable override file: ")
+    assert f"{path!r} ({reason}; presets: paper-4.2)" in err
+
+
+def test_override_file_bad_json_exit_one(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"overrides": [')
+    assert main(["ext", "--lambda", "1,0,0,0", "--overrides", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid JSON: ")
 
 
 def test_cohomology_golden(capsys):

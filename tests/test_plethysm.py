@@ -36,7 +36,7 @@ def test_dimension_sums():
 
 def test_weight_mass():
     # total weight multiset mass is the binomial coefficient
-    for p in (3, 7, 10):
+    for p in (3, 7, 10, 13, 17):
         counts = _dominant_multiplicities(p)
         mass = 0
         for w, n in counts.items():
@@ -45,6 +45,26 @@ def test_weight_mass():
                 orbit //= factorial(sum(1 for x in w if x == v))
             mass += n * orbit
         assert mass == comb(20, p)
+
+
+def subset_enumeration(p):
+    """Dominant weight multiplicities of the p-th exterior power, counted over
+    all p-subsets of the 20 weights (each weight packed into six 4-bit fields;
+    no coordinate of a subset sum exceeds 10)."""
+    packed = [sum(x << (4 * i) for i, x in enumerate(w)) for w in wedge3_weights()]
+    counts = {}
+    for subset in combinations(packed, p):
+        s = sum(subset)
+        w = tuple((s >> (4 * i)) & 15 for i in range(6))
+        if w[0] >= w[1] >= w[2] >= w[3] >= w[4] >= w[5]:
+            counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+def test_dp_matches_subset_enumeration():
+    # p >= 15 checks the complement rule used above p = 10
+    for p in (0, 1, 2, 3, 4, 5, 10, 15, 16, 17, 18, 19, 20):
+        assert _dominant_multiplicities(p) == subset_enumeration(p), p
 
 
 def test_weyl_symmetry_brute_force():

@@ -1,0 +1,29 @@
+"""The scripts under scripts/ run as a user runs them, in a fresh interpreter."""
+
+import pathlib
+import subprocess
+import sys
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args):
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *map(str, args)],
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_reproduce_tables(tmp_path):
+    proc = run_script("reproduce_tables.py", tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "koszul table: 0 mismatched columns" in proc.stdout
+    assert "ext table: 0 unannotated mismatches" in proc.stdout
+    assert (tmp_path / "koszul_table.md").read_text().startswith("| p=0 |")
+    assert "computed 190, printed 191" in (tmp_path / "ext_table.md").read_text()
+
+
+def test_derive_override_ranks():
+    proc = run_script("derive_override_ranks.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.rstrip().endswith("derivation matches the frozen preset")
