@@ -4,6 +4,13 @@ A bundle is indexed by a dominant length-4 weight (quotient side) and a
 dominant length-6 weight (tautological side); entries are listed quotient
 side first.  Twists O(-d) are pushed into the tautological side as mu + d
 before calling, since the determinant of the tautological bundle is O(-1).
+
+Two entry points apply the rule.  ``bott`` is the public one: it validates
+both weights (ValueError on a non-dominant or wrong-length weight) and
+memoises its answers.  ``bott_dominant`` is the rule itself: uncached, and it
+trusts its caller to pass a dominant 4-tuple and a dominant 6-tuple of ints.
+``koszul.e1_page`` calls it with the weight ``build_complex`` validated and
+the factor-table weights, which are dominant by construction.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .partitions import Weight, check_dominant, weyl_dim
+from .partitions import Weight, check_dominant, weyl_product
 
 RHO = (9, 8, 7, 6, 5, 4, 3, 2, 1, 0)
 DIM_GR = 24
@@ -28,17 +35,24 @@ class BottCohomology:
 def bott(lam: Weight, mu: Weight) -> BottCohomology | None:
     """The single nonzero cohomology of the bundle (lam | mu), or None.
 
+    Validates both weights, then applies ``bott_dominant``.
+    """
+    return bott_dominant(check_dominant(lam, 4), check_dominant(mu, 6))
+
+
+def bott_dominant(lam: Weight, mu: Weight) -> BottCohomology | None:
+    """``bott`` for weights already known to be dominant, without validation.
+
     Add the staircase (9,...,0) to the concatenated weight; a repeated entry
     means the bundle is acyclic.  Otherwise the degree is the inversion count
     of the shifted vector and the cohomology is the GL(10) representation of
     highest weight sort(shifted) - staircase.
     """
-    lam = check_dominant(lam, 4)
-    mu = check_dominant(mu, 6)
     w = lam + mu
     v = tuple(w[i] + RHO[i] for i in range(10))
     if len(set(v)) < 10:
         return None
     inversions = sum(v[i] < v[j] for i in range(10) for j in range(i + 1, 10))
-    weight = tuple(x - RHO[i] for i, x in enumerate(sorted(v, reverse=True)))
-    return BottCohomology(inversions, weight, weyl_dim(10, weight))
+    s = sorted(v, reverse=True)
+    weight = tuple(x - RHO[i] for i, x in enumerate(s))
+    return BottCohomology(inversions, weight, weyl_product(s))

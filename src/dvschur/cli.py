@@ -175,7 +175,7 @@ def _overrides_from_args(args):
 
 
 def _add_common(sub, *, lam=False, mu=False, rank=False, twist=False,
-                overrides=False, fmt=False, jobs=False):
+                overrides=False, fmt=False):
     if lam:
         sub.add_argument("--lambda", dest="lam", required=True, metavar="W",
                          help="comma-separated weight, e.g. 3,2,1,0")
@@ -191,8 +191,6 @@ def _add_common(sub, *, lam=False, mu=False, rank=False, twist=False,
     if fmt:
         sub.add_argument("--format", dest="fmt", default="json",
                          choices=["json", "markdown", "csv"])
-    if jobs:
-        sub.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,16 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub, lam=True, twist=True, overrides=True)
 
     sub = subs.add_parser("ext", help="Ext groups of a Schur functor")
-    _add_common(sub, lam=True, overrides=True, fmt=True, jobs=True)
+    _add_common(sub, lam=True, overrides=True, fmt=True)
     sub.add_argument("--summands", action="store_true",
                      help="include the per-summand breakdown")
 
     sub = subs.add_parser("table1", help="reproduce the published Ext table")
-    _add_common(sub, overrides=True, fmt=True, jobs=True)
+    _add_common(sub, overrides=True, fmt=True)
 
     sub = subs.add_parser("sym", help="Ext groups of a symmetric power")
     sub.add_argument("--m", type=int, required=True)
-    _add_common(sub, overrides=True, fmt=True, jobs=True)
+    _add_common(sub, overrides=True, fmt=True)
 
     sub = subs.add_parser("chern", help="Chern data of a Schur functor")
     _add_common(sub, lam=True)
@@ -320,7 +318,7 @@ def _cmd_cohomology(args) -> int:
 
 def _cmd_ext(args) -> int:
     lam = parse_weight(args.lam, 4)
-    report = ext.ext_groups(lam, _overrides_from_args(args), args.jobs)
+    report = ext.ext_groups(lam, _overrides_from_args(args))
     if args.fmt == "markdown":
         print(ext_markdown([report]))
     elif args.fmt == "csv":
@@ -331,7 +329,7 @@ def _cmd_ext(args) -> int:
 
 
 def _cmd_sym(args) -> int:
-    report = ext.sym_ext(args.m, _overrides_from_args(args), args.jobs)
+    report = ext.sym_ext(args.m, _overrides_from_args(args))
     if args.fmt == "markdown":
         print(ext_markdown([report]))
     elif args.fmt == "csv":
@@ -346,7 +344,7 @@ def _cmd_table1(args) -> int:
     reports = []
     for row in ext.TABLE1_ROWS:
         print(f"chasing ({format_weight(row)}) ...", file=sys.stderr)
-        reports.append(ext.ext_groups(row, overrides, args.jobs))
+        reports.append(ext.ext_groups(row, overrides))
     cells = reference.diff_against_paper(reports)
     bad = reference.unannotated_mismatches(cells)
     if args.fmt == "markdown":

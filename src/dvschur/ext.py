@@ -8,7 +8,6 @@ degrees interval-valued.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .koszul import ChaseResult, chase_summand
@@ -75,22 +74,10 @@ class ExtReport:
         return out
 
 
-def _chase_all(keys, overrides, jobs):
-    unique = sorted(set(keys))
-    overrides = tuple(overrides)
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                key: pool.submit(chase_summand, key[0], key[1], overrides)
-                for key in unique
-            }
-            return {key: fut.result() for key, fut in futures.items()}
-    return {key: chase_summand(key[0], key[1], overrides) for key in unique}
-
-
-def _aggregate(lam, c, summands, overrides, jobs) -> ExtReport:
+def _aggregate(lam, c, summands, overrides) -> ExtReport:
     keys = [s.normalized() for s in summands]
-    results = _chase_all(keys, overrides, jobs)
+    overrides = tuple(overrides)
+    results = {key: chase_summand(key[0], key[1], overrides) for key in sorted(set(keys))}
     ext = [[0, 0] for _ in range(5)]
     pairs = []
     for summand, key in zip(summands, keys):
@@ -105,14 +92,14 @@ def _aggregate(lam, c, summands, overrides, jobs) -> ExtReport:
     )
 
 
-def ext_groups(lam: Weight, overrides=(), jobs: int = 1) -> ExtReport:
+def ext_groups(lam: Weight, overrides=()) -> ExtReport:
     """Ext dimensions of Sigma_lam Q against itself (canonicalised first)."""
     lam = check_dominant(lam, 4)
     c = canonicalize(lam)
-    return _aggregate(lam, c, end_decomposition(c), overrides, jobs)
+    return _aggregate(lam, c, end_decomposition(c), overrides)
 
 
-def sym_ext(m: int, overrides=(), jobs: int = 1) -> ExtReport:
+def sym_ext(m: int, overrides=()) -> ExtReport:
     """Ext dimensions of the m-th symmetric power.
 
     End(Sym^m Q) nests: it is End(Sym^(m-1) Q) plus the single new summand
@@ -125,9 +112,9 @@ def sym_ext(m: int, overrides=(), jobs: int = 1) -> ExtReport:
     summands = tuple(
         EndSummand((2 * m - i, m, m, i), -m, 1) for i in range(m, -1, -1)
     )
-    return _aggregate(lam, canonicalize(lam), summands, overrides, jobs)
+    return _aggregate(lam, canonicalize(lam), summands, overrides)
 
 
-def reproduce_table1(overrides=(), jobs: int = 1) -> list[ExtReport]:
+def reproduce_table1(overrides=()) -> list[ExtReport]:
     """Reports for the 21 published rows, in published order."""
-    return [ext_groups(row, overrides, jobs) for row in TABLE1_ROWS]
+    return [ext_groups(row, overrides) for row in TABLE1_ROWS]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
-from .bwb import bott
+from .bwb import bott_dominant
 from .partitions import Weight, check_dominant
 from .plethysm import WEDGE_RANK, koszul_factor_table
 
@@ -102,12 +102,18 @@ class E1Page:
 
 
 def e1_page(cx: TwistedComplex) -> E1Page:
-    """Apply Borel-Weil-Bott to every factor and aggregate per position."""
+    """Apply Borel-Weil-Bott to every factor and aggregate per position.
+
+    ``build_complex`` validated ``cx.q_weight`` and the factor weights are
+    dominant by construction, so each factor goes to ``bott_dominant``
+    without re-validation or a memo entry.
+    """
+    lam = cx.q_weight
     dims: dict[Position, int] = {}
     parts: dict[Position, list[tuple[Weight, int]]] = {}
     for p, factors in enumerate(cx.terms):
         for mu, mult in factors:
-            res = bott(cx.q_weight, mu)
+            res = bott_dominant(lam, mu)
             if res is None:
                 continue
             pos = (p, res.degree)

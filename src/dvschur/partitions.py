@@ -103,19 +103,39 @@ def canonicalize(lam: Weight) -> CanonicalQPartition:
 
 
 @cache
+def _staircase_product(n: int) -> int:
+    """The Weyl product of the staircase (n-1,...,0), i.e. of the zero weight."""
+    out = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            out *= j - i
+    return out
+
+
+def weyl_product(v) -> int:
+    """Dimension of the GL(n) irreducible whose highest weight plus the
+    staircase (n-1,...,0) is the strictly decreasing sequence v (n = len(v)).
+
+    The product of v_i - v_j over the pairs i < j, divided by the same product
+    for the staircase.  No validation: callers pass a strictly decreasing v.
+    """
+    n = len(v)
+    num = 1
+    for i in range(n):
+        vi = v[i]
+        for j in range(i + 1, n):
+            num *= vi - v[j]
+    dim, rem = divmod(num, _staircase_product(n))
+    if rem:
+        raise ArithmeticError(f"Weyl product not integral for shifted weight {tuple(v)}")
+    return dim
+
+
+@cache
 def weyl_dim(n: int, w: Weight) -> int:
     """Dimension of the irreducible GL(n) representation of highest weight w.
 
     Exact product formula; invariant under w -> w + d and under dualisation.
     """
     w = check_dominant(w, n)
-    num = 1
-    den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= w[i] - w[j] + j - i
-            den *= j - i
-    dim, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"Weyl product not integral for {w}")
-    return dim
+    return weyl_product([x + n - 1 - i for i, x in enumerate(w)])

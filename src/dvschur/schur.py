@@ -1,8 +1,7 @@
 """Tensor-product combinatorics: Littlewood-Richardson, Pieri, Kostka numbers.
 
 Decompositions are plain dicts mapping a dominant weight to its multiplicity.
-All functions are pure; memo caches are shared and safe for concurrent
-readers (worst case a value is computed twice).
+All functions are pure; their memo caches are shared across calls.
 """
 
 from __future__ import annotations

@@ -149,10 +149,10 @@ def test_koszul_table_json_and_markdown(capsys):
     assert len(lines) == 2 + 20  # header, rule, twenty factor rows
 
 
-def test_table1_deterministic_and_parallel(capsys):
+def test_table1_deterministic(capsys):
     code, out1 = run(capsys, "table1", "--overrides", "paper-4.2")
     assert code == 0
-    code, out2 = run(capsys, "table1", "--overrides", "paper-4.2", "--jobs", "3")
+    code, out2 = run(capsys, "table1", "--overrides", "paper-4.2")
     assert code == 0
     assert out1 == out2
     payload = json.loads(out1)

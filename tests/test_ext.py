@@ -160,12 +160,6 @@ def test_annotated_cell_with_wrong_value_is_mismatch(preset):
         assert unannotated_mismatches(cells) == [cell]
 
 
-def test_jobs_parallel_consistency(preset):
-    serial = ext_groups((3, 2, 1, 0), preset, jobs=1)
-    parallel = ext_groups((3, 2, 1, 0), preset, jobs=4)
-    assert serial.ext == parallel.ext
-
-
 def test_euler_of_bounded_report_is_satisfiable(preset):
     # the all-hi endpoint corresponds to every unknown rank being zero,
     # which is one consistent assignment; its alternating sum over 0..4

@@ -1,6 +1,8 @@
 import pytest
 
+from dvschur.bwb import bott
 from dvschur.koszul import (
+    E1Entry,
     OverrideError,
     RankOverride,
     build_complex,
@@ -10,6 +12,7 @@ from dvschur.koszul import (
     get_preset,
     load_overrides,
 )
+from dvschur.plethysm import koszul_factor_table
 
 
 def entries_of(page):
@@ -175,3 +178,90 @@ def test_determinate_iff_no_legal_pairs():
     res = chase(page)
     assert res.exact
     assert res.dims()[2] == sum(e.dim for _, e in page.entries)
+
+
+STAIRCASE = (9, 8, 7, 6, 5, 4, 3, 2, 1, 0)
+
+
+def textbook_bott(lam, mu):
+    """Borel-Weil-Bott computed without the package: all 45 pairs compared,
+    Weyl product taken on the weight.  Returns (degree, weight, dim) or None."""
+    v = [x + r for x, r in zip(lam + mu, STAIRCASE)]
+    if len(set(v)) < 10:
+        return None
+    inversions = sum(v[i] < v[j] for i in range(10) for j in range(i + 1, 10))
+    weight = tuple(x - r for x, r in zip(sorted(v, reverse=True), STAIRCASE))
+    num = den = 1
+    for i in range(10):
+        for j in range(i + 1, 10):
+            num *= weight[i] - weight[j] + j - i
+            den *= j - i
+    assert num % den == 0
+    return inversions, weight, num // den
+
+
+def reference_page(lam, d):
+    """The page built factor by factor with the public, validating bott on
+    every mu + d of build_complex's terms, each answer checked against
+    textbook_bott."""
+    dims, parts = {}, {}
+    for p, factors in enumerate(build_complex(lam, d).terms):
+        for mu, mult in factors:
+            res = bott(lam, mu)
+            want = textbook_bott(lam, mu)
+            if res is None:
+                assert want is None, (lam, mu)
+                continue
+            assert (res.degree, res.gl10_weight, res.dim) == want, (lam, mu)
+            pos = (p, res.degree)
+            dims[pos] = dims.get(pos, 0) + mult * res.dim
+            parts.setdefault(pos, []).append((res.gl10_weight, mult))
+    return tuple((pos, E1Entry(dims[pos], tuple(parts[pos]))) for pos in sorted(dims))
+
+
+def reference_grid():
+    """Every (a,b,c,x) with a <= 8, every third one with a negative last
+    entry x, each at one twist d; the twists run through [-a-2, 3]."""
+    cases = [((2, 1, 1, 0), 1)]  # an acyclic page
+    k = 0
+    for a in range(9):
+        for b in range(a + 1):
+            for c in range(b + 1):
+                x = -(1 + a % 3) if k % 3 == 0 else 0
+                twists = range(-a - 2, 4)
+                cases.append(((a, b, c, x), twists[(5 * k) % len(twists)]))
+                k += 1
+    return cases
+
+
+def test_e1_page_matches_per_factor_bott():
+    cases = reference_grid()
+    nonempty = negative = 0
+    for lam, d in cases:
+        page = e1_page(build_complex(lam, d))
+        assert page.q_weight == lam and page.twist == d
+        assert page.entries == reference_page(lam, d), (lam, d)
+        nonempty += bool(page.entries)
+        negative += lam[3] < 0
+    assert e1_page(build_complex((2, 1, 1, 0), 1)).entries == ()
+    assert nonempty > len(cases) // 2 and negative > len(cases) // 4
+
+
+@pytest.mark.parametrize(
+    "lam", [(0, 1, 0, 0), (2, 1, 0, 1), (1, 0, 0), (1, 0, 0, 0, 0), ()]
+)
+def test_build_complex_rejects_bad_q_weight(lam):
+    # e1_page trusts cx.q_weight, so build_complex is where it is checked
+    with pytest.raises(ValueError):
+        build_complex(lam, 0)
+
+
+def test_factor_table_weights_are_dominant_6_tuples():
+    # the precondition e1_page trusts for every factor weight
+    table = koszul_factor_table()
+    assert len(table) == 21
+    for col in table:
+        for mu in col:
+            assert type(mu) is tuple and len(mu) == 6, mu
+            assert all(type(x) is int for x in mu), mu
+            assert all(mu[i] >= mu[i + 1] for i in range(5)), mu
