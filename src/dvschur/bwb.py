@@ -11,6 +11,10 @@ memoises its answers.  ``bott_dominant`` is the rule itself: uncached, and it
 trusts its caller to pass a dominant 4-tuple and a dominant 6-tuple of ints.
 ``koszul.e1_page`` calls it with the weight ``build_complex`` validated and
 the factor-table weights, which are dominant by construction.
+
+The rule is the dot action of the Weyl group, ``partitions.reflect``, which
+``schur.lr_coefficients`` applies the same way for GL(rank) in Klimyk's
+formula.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .partitions import Weight, check_dominant, weyl_product
+from .partitions import Weight, check_dominant, reflect, weyl_product
 
 RHO = (9, 8, 7, 6, 5, 4, 3, 2, 1, 0)
 DIM_GR = 24
@@ -43,16 +47,14 @@ def bott(lam: Weight, mu: Weight) -> BottCohomology | None:
 def bott_dominant(lam: Weight, mu: Weight) -> BottCohomology | None:
     """``bott`` for weights already known to be dominant, without validation.
 
-    Add the staircase (9,...,0) to the concatenated weight; a repeated entry
-    means the bundle is acyclic.  Otherwise the degree is the inversion count
-    of the shifted vector and the cohomology is the GL(10) representation of
-    highest weight sort(shifted) - staircase.
+    ``partitions.reflect`` of the concatenated weight: a repeated entry after
+    adding the staircase (9,...,0) means the bundle is acyclic.  Otherwise the
+    degree is the inversion count and the cohomology is the GL(10)
+    representation of highest weight sort(shifted) - staircase.
     """
-    w = lam + mu
-    v = tuple(w[i] + RHO[i] for i in range(10))
-    if len(set(v)) < 10:
+    r = reflect(lam + mu)
+    if r is None:
         return None
-    inversions = sum(v[i] < v[j] for i in range(10) for j in range(i + 1, 10))
-    s = sorted(v, reverse=True)
+    inversions, s = r
     weight = tuple(x - RHO[i] for i, x in enumerate(s))
     return BottCohomology(inversions, weight, weyl_product(s))

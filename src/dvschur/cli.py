@@ -1,9 +1,10 @@
 """Command-line front end: weight calculus, chases, table reproduction.
 
 Standard output carries exclusively the report (JSON by default, canonical
-key order); progress goes to standard error.  Exit status: 0 on success,
-2 when a requested cohomology value is indeterminate, 1 on input errors or
-an unannotated mismatch against the published tables.
+key order); error messages go to standard error, and no command prints
+progress.  Exit status: 0 on success, 2 when a requested cohomology value is
+indeterminate, 1 on input errors (usage errors included) or an unannotated
+mismatch against the published tables.
 """
 
 from __future__ import annotations
@@ -193,8 +194,16 @@ def _add_common(sub, *, lam=False, mu=False, rank=False, twist=False,
                          choices=["json", "markdown", "csv"])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other input error (2 means bounded)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dvschur",
         description="Exact cohomology of Schur functors of the quotient bundle "
         "on the very general Debarre-Voisin fourfold.",
@@ -316,35 +325,29 @@ def _cmd_cohomology(args) -> int:
     return 0 if result.exact else 2
 
 
+def _print_ext(report: ext.ExtReport, fmt: str, with_summands: bool) -> int:
+    if fmt == "markdown":
+        print(ext_markdown([report]))
+    elif fmt == "csv":
+        print(_ext_csv([report]))
+    else:
+        print(_dump(_ext_json(report, with_summands)))
+    return 0 if report.exact else 2
+
+
 def _cmd_ext(args) -> int:
     lam = parse_weight(args.lam, 4)
     report = ext.ext_groups(lam, _overrides_from_args(args))
-    if args.fmt == "markdown":
-        print(ext_markdown([report]))
-    elif args.fmt == "csv":
-        print(_ext_csv([report]))
-    else:
-        print(_dump(_ext_json(report, args.summands)))
-    return 0 if report.exact else 2
+    return _print_ext(report, args.fmt, args.summands)
 
 
 def _cmd_sym(args) -> int:
     report = ext.sym_ext(args.m, _overrides_from_args(args))
-    if args.fmt == "markdown":
-        print(ext_markdown([report]))
-    elif args.fmt == "csv":
-        print(_ext_csv([report]))
-    else:
-        print(_dump(_ext_json(report, False)))
-    return 0 if report.exact else 2
+    return _print_ext(report, args.fmt, False)
 
 
 def _cmd_table1(args) -> int:
-    overrides = _overrides_from_args(args)
-    reports = []
-    for row in ext.TABLE1_ROWS:
-        print(f"chasing ({format_weight(row)}) ...", file=sys.stderr)
-        reports.append(ext.ext_groups(row, overrides))
+    reports = ext.reproduce_table1(_overrides_from_args(args))
     cells = reference.diff_against_paper(reports)
     bad = reference.unannotated_mismatches(cells)
     if args.fmt == "markdown":

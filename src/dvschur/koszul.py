@@ -73,13 +73,13 @@ def build_complex(lam: Weight, d: int) -> TwistedComplex:
     """Koszul resolution of Sigma_lam Q tensor O(-d) restricted to the fourfold.
 
     Term p carries the factor-table column p with every tautological-side
-    weight raised by d.
+    weight raised by d.  The columns are in descending weight order, and a
+    uniform shift keeps that order, so the terms are too.
     """
     lam = check_dominant(lam, 4)
-    table = koszul_factor_table()
     terms = tuple(
-        tuple(sorted(((tuple(x + d for x in mu), mult) for mu, mult in col.items()), reverse=True))
-        for col in table
+        tuple((tuple(x + d for x in mu), mult) for mu, mult in col.items())
+        for col in koszul_factor_table()
     )
     return TwistedComplex(lam, d, terms)
 

@@ -80,10 +80,6 @@ class CanonicalQPartition:
     def weight(self) -> Weight:
         return (self.m, self.t, self.s, 0)
 
-    @property
-    def dual_weight(self) -> Weight:
-        return shifted_dual(self.weight)
-
 
 def canonicalize(lam: Weight) -> CanonicalQPartition:
     """Reduce a length-4 weight to (m,t,s,0) with m >= t+s.
@@ -129,6 +125,24 @@ def weyl_product(v) -> int:
     if rem:
         raise ArithmeticError(f"Weyl product not integral for shifted weight {tuple(v)}")
     return dim
+
+
+def reflect(w) -> tuple[int, list[int]] | None:
+    """The dot action of the Weyl group of GL(n) on w (n = len(w)).
+
+    Adds the staircase (n-1,...,0) to w.  A repeated entry puts the shifted
+    vector on a wall: returns None.  Otherwise returns the number of
+    inversions of the shifted vector (the length of the sorting permutation)
+    and the shifted vector sorted decreasingly; subtracting the staircase
+    from it gives the dominant weight of the orbit.
+    """
+    n = len(w)
+    v = [x + n - 1 - i for i, x in enumerate(w)]
+    if len(set(v)) < n:
+        return None
+    inversions = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
+    v.sort(reverse=True)
+    return inversions, v
 
 
 @cache

@@ -130,6 +130,8 @@ def koszul_factor_table() -> tuple[Decomposition, ...]:
 
     Columns up to 10 are computed directly; column 10+k is column 10-k with
     every weight raised by k (the top wedge is the tenth determinant power).
+    Every column lists its weights in descending order: the split takes the
+    largest residual weight first, and a uniform shift keeps the order.
     """
     columns = [decompose_wedge_power(p) for p in range(11)]
     for k in range(1, 11):

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
 from math import factorial, isqrt
 
 from .partitions import (
@@ -31,9 +30,10 @@ from .partitions import (
     Weight,
     canonicalize,
     check_dominant,
+    is_dominant,
     weyl_dim,
 )
-from .schur import kostka
+from .schur import weight_system
 
 Q = Fraction
 
@@ -137,44 +137,12 @@ BBF_SQUARE_H = 22                        # Beauville-Bogomolov-Fujiki square of 
 _POWER_SUM = {1: H, 2: 2 * CH2, 3: 6 * CH3, 4: 24 * CH4_CLASS}
 
 
-def _bounded_partitions(n: int, parts: int, maxpart: int):
-    if n == 0:
-        yield ()
-        return
-    if parts == 0 or maxpart == 0:
-        return
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in _bounded_partitions(n - first, parts - 1, first):
-            yield (first,) + rest
-
-
-@cache
-def weight_system(lam: Weight) -> tuple[tuple[Weight, int], ...]:
-    """All weights of the length-4 irreducible with highest weight lam.
-
-    Dominant multiplicities are Kostka numbers; the rest of each orbit is
-    filled in by permutation.  Entries may be negative: the enumeration
-    shifts to a partition and shifts back.
-    """
-    lam = check_dominant(lam, 4)
-    shift = lam[3]
-    base = tuple(x - shift for x in lam)
-    out = []
-    for mu in _bounded_partitions(sum(base), 4, base[0]):
-        k = kostka(base, mu)
-        if not k:
-            continue
-        mu4 = mu + (0,) * (4 - len(mu))
-        for perm in set(permutations(mu4)):
-            out.append((tuple(x + shift for x in perm), k))
-    if sum(mult for _, mult in out) != weyl_dim(4, lam):
-        raise ArithmeticError(f"weight system of {lam} has the wrong size")
-    return tuple(out)
-
-
 @cache
 def _partitions(d: int) -> tuple[Weight, ...]:
-    return tuple(_bounded_partitions(d, d, d))
+    """The partitions of d <= 4: the dominant weights of Sym^d Q, zeros dropped."""
+    return tuple(
+        tuple(x for x in w if x) for w, _ in weight_system((d, 0, 0, 0)) if is_dominant(w)
+    )
 
 
 @cache

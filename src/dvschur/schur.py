@@ -1,5 +1,11 @@
 """Tensor-product combinatorics: Littlewood-Richardson, Pieri, Kostka numbers.
 
+Littlewood-Richardson products use the Racah-Speiser/Klimyk formula (Klimyk
+1968; Fulton-Harris, Representation Theory, section 25): each weight of one
+factor, with its Kostka multiplicity, is added to the other's highest weight
+and moved to the dominant chamber with a sign by ``partitions.reflect``, the
+rule Borel-Weil-Bott (``bwb.bott_dominant``) applies for GL(10).
+
 Decompositions are plain dicts mapping a dominant weight to its multiplicity.
 All functions are pure; their memo caches are shared across calls.
 """
@@ -9,7 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .partitions import CanonicalQPartition, Weight, check_dominant, shifted_dual
+from .partitions import (
+    CanonicalQPartition,
+    Weight,
+    check_dominant,
+    reflect,
+    shifted_dual,
+    weyl_dim,
+)
 
 Decomposition = dict[Weight, int]
 
@@ -37,64 +50,24 @@ def _pad(w: Weight, rank: int) -> Weight:
 def lr_coefficients(lam: Weight, mu: Weight, rank: int) -> Decomposition:
     """Littlewood-Richardson multiplicities of Sigma_lam x Sigma_mu for GL(rank).
 
-    Counts lattice-word fillings of nu/lam with content mu: rows weakly
-    increase, columns strictly increase, and the reverse reading word is a
-    lattice word.  Negative entries are handled by shifting both factors to
-    nonnegative partitions and shifting the resulting weights back; partitions
-    with more than ``rank`` rows are discarded by construction.
+    Klimyk's formula: the sum over the weights w of the factor of smaller
+    dimension, with multiplicity k, of (-1)^inv * k * Sigma_nu, where
+    ``partitions.reflect(lam + w)`` gives inv and nu plus the staircase, or
+    None (no term).  Entries may be negative.  Zero coefficients are dropped.
     """
     lam = check_dominant(_pad(tuple(lam), rank))
     mu = check_dominant(_pad(tuple(mu), rank))
-    a = max(0, -lam[-1])
-    b = max(0, -mu[-1])
-    raw = _lr_nonneg(tuple(x + a for x in lam), tuple(x + b for x in mu), rank)
-    if a == 0 and b == 0:
-        return dict(raw)
-    return {tuple(x - a - b for x in nu): n for nu, n in raw.items()}
-
-
-@cache
-def _lr_nonneg(lam: Weight, mu: Weight, rank: int) -> Decomposition:
-    total = sum(mu)
-    nletters = len(mu)
-    result: Decomposition = {}
-    counts = [0] * (nletters + 1)
-
-    def fill_row(i: int, prev_vals: tuple[int, ...], placed: int, shape: Weight):
-        if i == rank:
-            if placed == total:
-                result[shape] = result.get(shape, 0) + 1
-            return
-        prev_len = len(prev_vals) if i else lam[0] + (mu[0] if mu else 0)
-        base = lam[i]
-        if base > prev_len:
-            return
-        row = [0] * prev_len
-
-        def place(col: int, length: int, last: int, placed: int):
-            if col < base:
-                fill_row(i + 1, tuple(row[:length]), placed, shape + (length,))
-                return
-            above = prev_vals[col] if i else 0
-            # letters in 0-indexed row i never exceed i+1 in a lattice filling
-            for v in range(min(last, i + 1), above, -1):
-                if counts[v] >= mu[v - 1]:
-                    continue
-                if v > 1 and counts[v] >= counts[v - 1]:
-                    continue
-                counts[v] += 1
-                row[col] = v
-                place(col - 1, length, v, placed + 1)
-                row[col] = 0
-                counts[v] -= 1
-
-        for length in range(prev_len, base - 1, -1):
-            if total - placed > (length - base) + (rank - 1 - i) * length:
-                break  # not enough room left even filling everything below
-            place(length - 1, length, nletters, placed)
-
-    fill_row(0, (), 0, ())
-    return result
+    if weyl_dim(rank, mu) > weyl_dim(rank, lam):
+        lam, mu = mu, lam
+    out: Decomposition = {}
+    for w, k in weight_system(mu):
+        r = reflect([a + b for a, b in zip(lam, w)])
+        if r is None:
+            continue
+        inversions, v = r
+        nu = tuple(x - rank + 1 + i for i, x in enumerate(v))
+        out[nu] = out.get(nu, 0) + (-k if inversions % 2 else k)
+    return {nu: n for nu, n in out.items() if n}
 
 
 def pieri(lam: Weight, m: int, rank: int) -> Decomposition:
@@ -172,6 +145,43 @@ def _strips_below(lam: Weight, size: int) -> tuple[Weight, ...]:
 
     go(0, size, ())
     return tuple(out)
+
+
+@cache
+def weight_system(lam: Weight) -> tuple[tuple[Weight, int], ...]:
+    """All weights of the GL(n) irreducible with highest weight lam (n = len(lam)).
+
+    The multiplicity of a weight is the Kostka number of lam against it as a
+    content, so the weights are the vectors with entries in [0, lam_1] and
+    sum |lam| whose Kostka number is nonzero.  Entries may be negative: the
+    enumeration shifts to a partition and shifts back.
+    """
+    lam = check_dominant(lam)
+    n = len(lam)
+    shift = lam[-1]
+    base = tuple(x - shift for x in lam)
+    mults: dict[Weight, int] = {}  # Kostka number per sorted content
+    out = []
+    for w in _compositions(sum(base), n, base[0]):
+        content = tuple(sorted(w, reverse=True))
+        k = mults.get(content)
+        if k is None:
+            k = mults[content] = kostka(base, content)
+        if k:
+            out.append((tuple(x + shift for x in w), k))
+    if sum(k for _, k in out) != weyl_dim(n, lam):
+        raise ArithmeticError(f"weight system of {lam} has the wrong size")
+    return tuple(out)
+
+
+def _compositions(total: int, parts: int, cap: int):
+    """Vectors of ``parts`` integers in [0, cap] summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(min(total, cap), max(0, total - cap * (parts - 1)) - 1, -1):
+        for rest in _compositions(total - first, parts - 1, cap):
+            yield (first,) + rest
 
 
 def end_decomposition(c: CanonicalQPartition) -> list[EndSummand]:

@@ -2,8 +2,10 @@
 
 ``bench/child.py`` replays the pipeline through ``koszul.build_complex``,
 ``koszul.e1_page`` and ``koszul.chase`` and reads ``bwb.bott.cache_info()``;
-a change that drops one of them breaks the benchmark, not the CLI.  This test
-runs one traced sample the way ``bench/run.py`` does and checks its answers.
+its ``ext-large`` and ``table1`` replays also call ``schur.end_decomposition``,
+``ring.chi_endo`` and ``ring.weight_system``.  A change that drops one of them
+breaks the benchmark, not the CLI.  These tests run traced samples the way
+``bench/run.py`` does and check their answers.
 """
 
 import json
@@ -12,6 +14,7 @@ import subprocess
 import sys
 import time
 
+from dvschur.ext import ext_groups
 from dvschur.koszul import chase_summand, get_preset
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -19,20 +22,24 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SUMMANDS = [(5, 5, 2, -3), (2, 2, 0, -1), (10, 5, 5, -5)]
 
 
-def test_traced_sample_matches_chase_summand():
+def traced_sample(workload, summands=()):
     job = {
         "src": str(ROOT / "src"),
         "t0": time.perf_counter(),
-        "workload": "summand-sweep",
+        "workload": workload,
         "trace": True,
-        "summands": [list(s) for s in SUMMANDS],
+        "summands": [list(s) for s in summands],
     }
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "child.py")],
         input=json.dumps(job), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_traced_sample_matches_chase_summand():
+    out = traced_sample("summand-sweep", SUMMANDS)
     preset = get_preset("paper-4.2")
     want = {}
     for a, b, c, twist in SUMMANDS:
@@ -46,3 +53,13 @@ def test_traced_sample_matches_chase_summand():
     assert want["5,5,2,-3"]["values"][2] == [2730, 2730]
     assert {"koszul.build_complex", "bwb.e1_page", "koszul.chase"} <= set(out["layers"])
     assert out["counters"]["koszul.chases"] == len(SUMMANDS)
+
+
+def test_traced_ext_large_matches_ext_groups():
+    out = traced_sample("ext-large")
+    report = ext_groups((8, 4, 2, 0), get_preset("paper-4.2"))
+    answer = out["answers"]["lambda=8,4,2,0"]
+    assert answer["values"] == [[lo, hi] for lo, hi in report.ext]
+    assert answer["chi"] == report.chi_check
+    assert "schur.end_decomposition" in out["layers"]
+    assert out["counters"]["ring.oracle_weights"] > 0

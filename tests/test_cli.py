@@ -33,6 +33,20 @@ def test_malformed_weight_exit_one(capsys):
                  "--overrides", "no-such-preset"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["table1", "--jobs", "2"],
+    ["ext"],
+    ["cohomology", "--lambda", "5,5,2,0", "--twist", "x"],
+])
+def test_usage_error_exit_one(capsys, argv):
+    # exit 2 is reserved for bounded results; a usage error is an input error
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: ")
+
+
 def test_unknown_preset_rejected_before_computation(capsys):
     code = main(["table1", "--overrides", "bogus"])
     assert code == 1

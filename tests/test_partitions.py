@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,6 +9,7 @@ from dvschur.partitions import (
     dual,
     format_weight,
     parse_weight,
+    reflect,
     shifted_dual,
     weyl_dim,
 )
@@ -96,3 +99,32 @@ def test_parse_and_format():
         parse_weight("1,2,3,4")
     with pytest.raises(ValueError):
         parse_weight("3,2,1", length=4)
+
+
+def brute_reflect(w):
+    """The dot action by search: the permutation that sorts w + staircase
+    decreasingly, its sign counted by pairwise comparisons."""
+    n = len(w)
+    v = [x + n - 1 - i for i, x in enumerate(w)]
+    if len(set(v)) < n:
+        return None
+    for perm in permutations(range(n)):
+        image = [v[i] for i in perm]
+        if all(image[i] > image[i + 1] for i in range(n - 1)):
+            sign = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+            return sign, image
+
+
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=6))
+def test_reflect_matches_brute_force(w):
+    assert reflect(tuple(w)) == brute_reflect(w)
+
+
+def test_reflect_examples():
+    assert reflect((2, 1, 0)) == (0, [4, 2, 0])
+    # (0,2) + (1,0) = (1,2): one transposition, dominant weight (1,1)
+    assert reflect((0, 2)) == (1, [2, 1])
+    assert reflect((0, 1)) is None  # (1,1) lies on a wall
+    assert reflect((1, 2, 3, 4)) is None  # (4,4,4,4)
+    assert reflect((-3, -1, 1, 3)) == (6, [3, 2, 1, 0])  # the longest element
+    assert reflect((-1, 0, 0, 0)) is None

@@ -102,6 +102,16 @@ def test_shift_identity_against_direct_computation():
         assert direct == table[10 + k], f"k={k}"
 
 
+def test_columns_in_descending_weight_order():
+    # koszul.build_complex shifts each column without re-sorting it
+    table = koszul_factor_table()
+    for p, col in enumerate(table):
+        weights = list(col)
+        assert weights == sorted(weights, reverse=True), f"column {p}"
+        assert len(set(weights)) == len(weights), f"column {p}"
+    assert sum(len(col) for col in table) == 156
+
+
 def test_lead_factor_p10():
     col = decompose_wedge_power(10)
     assert len(col) == 20

@@ -7,6 +7,7 @@ from dvschur.schur import (
     kostka,
     lr_coefficients,
     pieri,
+    weight_system,
 )
 
 
@@ -192,3 +193,116 @@ def test_lr_rank_cutoff():
     # partitions needing more rows than the rank are discarded
     assert lr_coefficients((1, 1, 0), (1, 1, 0), 3) == {(2, 2, 0): 1, (2, 1, 1): 1}
     assert lr_coefficients((1, 1), (1, 1), 2) == {(2, 2): 1}
+
+
+def lr_tableaux(lam, mu, rank):
+    """Reference Littlewood-Richardson rule: lattice-word fillings of nu/lam
+    with content mu (rows weakly increase, columns strictly increase, the
+    reverse reading word is a lattice word).  Negative entries are shifted
+    away and back; shapes with more than ``rank`` rows never arise."""
+    lam = tuple(lam) + (0,) * (rank - len(lam))
+    mu = tuple(mu) + (0,) * (rank - len(mu))
+    a, b = max(0, -lam[-1]), max(0, -mu[-1])
+    raw = _lattice_fillings(
+        tuple(x + a for x in lam), tuple(x + b for x in mu), rank
+    )
+    return {tuple(x - a - b for x in nu): n for nu, n in raw.items()}
+
+
+def _lattice_fillings(lam, mu, rank):
+    total = sum(mu)
+    nletters = len(mu)
+    result = {}
+    counts = [0] * (nletters + 1)
+
+    def fill_row(i, prev_vals, placed, shape):
+        if i == rank:
+            if placed == total:
+                result[shape] = result.get(shape, 0) + 1
+            return
+        prev_len = len(prev_vals) if i else lam[0] + (mu[0] if mu else 0)
+        base = lam[i]
+        if base > prev_len:
+            return
+        row = [0] * prev_len
+
+        def place(col, length, last, placed):
+            if col < base:
+                fill_row(i + 1, tuple(row[:length]), placed, shape + (length,))
+                return
+            above = prev_vals[col] if i else 0
+            # letters in 0-indexed row i never exceed i+1 in a lattice filling
+            for v in range(min(last, i + 1), above, -1):
+                if counts[v] >= mu[v - 1]:
+                    continue
+                if v > 1 and counts[v] >= counts[v - 1]:
+                    continue
+                counts[v] += 1
+                row[col] = v
+                place(col - 1, length, v, placed + 1)
+                row[col] = 0
+                counts[v] -= 1
+
+        for length in range(prev_len, base - 1, -1):
+            if total - placed > (length - base) + (rank - 1 - i) * length:
+                break  # not enough room left even filling everything below
+            place(length - 1, length, nletters, placed)
+
+    fill_row(0, (), 0, ())
+    return result
+
+
+def test_lr_matches_tableaux_on_small_partitions():
+    checked = 0
+    for rank in (2, 3, 4, 5):
+        parts = small_partitions(6, rank)
+        for lam in parts:
+            for mu in parts:
+                assert lr_coefficients(lam, mu, rank) == lr_tableaux(lam, mu, rank), (
+                    lam, mu, rank
+                )
+                checked += 1
+    assert checked > 2000
+
+
+def test_lr_matches_tableaux_with_negative_entries():
+    rng = random.Random(31)
+    for _ in range(200):
+        rank = rng.randint(2, 5)
+        lam, mu = (
+            tuple(sorted((rng.randint(-4, 4) for _ in range(rank)), reverse=True))
+            for _ in range(2)
+        )
+        assert lr_coefficients(lam, mu, rank) == lr_tableaux(lam, mu, rank), (lam, mu)
+
+
+def test_lr_matches_tableaux_at_high_rank():
+    for lam, mu, rank in [
+        ((3, 2, 1), (2, 1), 8),
+        ((2, 2, 1, 1), (3, 1, 1), 9),
+        ((1, 1, 1, 1, 1, 1, 1, 1, 1), (2, 1, 1), 12),
+    ]:
+        got = lr_coefficients(lam, mu, rank)
+        assert got == lr_tableaux(lam, mu, rank), (lam, mu, rank)
+        assert all(len(nu) == rank for nu in got)
+
+
+def test_end_decomposition_matches_tableaux():
+    for lam in [(8, 4, 2, 0), (10, 5, 2, 0)]:
+        c = canonicalize(lam)
+        want = lr_tableaux(c.weight, shifted_dual(c.weight), 4)
+        got = {s.q_weight: s.multiplicity for s in end_decomposition(c)}
+        assert got == want, lam
+        assert all(s.twist == -c.m for s in end_decomposition(c))
+
+
+def test_weight_system_other_lengths():
+    for lam in [(2, 1, 0), (3, 1, 1, 0, -1), (2, 2, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 0)]:
+        ws = weight_system(lam)
+        assert sum(k for _, k in ws) == weyl_dim(len(lam), lam), lam
+        assert len({w for w, _ in ws}) == len(ws)
+        assert all(len(w) == len(lam) and sum(w) == sum(lam) for w, _ in ws)
+    assert dict(weight_system((2, 1, 0))) == {
+        w: (2 if w == (1, 1, 1) else 1)
+        for w in [(2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2), (1, 1, 1)]
+    }
