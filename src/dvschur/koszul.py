@@ -62,7 +62,7 @@ class OverrideError(ValueError):
 
 @dataclass(frozen=True)
 class TwistedComplex:
-    """Terms of the Koszul resolution twisted by Sigma_q_weight Q(-twist)."""
+    """Koszul resolution twisted by Sigma_q_weight Q tensor O(twist)."""
 
     q_weight: Weight
     twist: int
@@ -81,7 +81,7 @@ def build_complex(lam: Weight, d: int) -> TwistedComplex:
         tuple((tuple(x + d for x in mu), mult) for mu, mult in col.items())
         for col in koszul_factor_table()
     )
-    return TwistedComplex(lam, d, terms)
+    return TwistedComplex(lam, -d, terms)
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class E1Entry:
 @dataclass(frozen=True)
 class E1Page:
     q_weight: Weight
-    twist: int
+    twist: int  # the power of O(1), as in TwistedComplex
     entries: tuple[tuple[Position, E1Entry], ...]
 
     @property
@@ -171,7 +171,7 @@ def chase(page: E1Page, overrides=()) -> ChaseResult:
     matching = [
         ov
         for ov in overrides
-        if ov.q_weight == page.q_weight and ov.twist == -page.twist
+        if ov.q_weight == page.q_weight and ov.twist == page.twist
     ]
     by_pos = {(ov.source, ov.target): ov for ov in matching}
     bounds: dict[Position, list[int]] = {
@@ -278,7 +278,13 @@ def _override_from_json(obj, index: int) -> RankOverride:
 
 
 def _overrides_from_json(items) -> tuple[RankOverride, ...]:
-    return tuple(_override_from_json(obj, i) for i, obj in enumerate(items))
+    out = tuple(_override_from_json(obj, i) for i, obj in enumerate(items))
+    seen: dict[tuple, int] = {}  # chase keeps one override per differential
+    for j, ov in enumerate(out):
+        i = seen.setdefault((ov.q_weight, ov.twist, ov.source, ov.target), j)
+        if i != j:
+            raise OverrideError(f"override {j}: same differential as override {i}")
+    return out
 
 
 PRESETS = {"paper-4.2": "overrides_paper42.json"}

@@ -1,15 +1,16 @@
 """Exterior powers of the third wedge of a 6-space, as GL(6) decompositions.
 
 The third wedge of C^6 has dimension 20 and weights the indicator vectors of
-3-element subsets of {1..6}.  Exterior powers are decomposed exactly: the
-dominant weight multiplicities of the p-th power count the p-subsets of the
-20 weights by their sum, and irreducible pieces are split off greedily with
-Kostka numbers.
+3-element subsets of {1..6}.  The weight multiplicities of the p-th exterior
+power count the p-subsets of the 20 weights by their sum, and Brauer's
+formula (Fulton-Harris, Representation Theory, section 25) turns them into
+irreducible pieces through ``partitions.reflect``, the rule Littlewood-
+Richardson and Borel-Weil-Bott use.
 
 The counts come from one knapsack pass over the 20 weights (layer p maps a
 weight sum to the number of p-subsets with that sum), kept for p <= 10 only.
 A p-subset is the complement of a (20-p)-subset, so the layers p > 10 are
-the mirrored layers 20-p.
+the complemented layers 20-p.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from functools import cache
 from itertools import combinations
 from math import comb
 
-from .partitions import Weight, weyl_dim
-from .schur import Decomposition, kostka
+from .partitions import Weight, reflect, weyl_dim
+from .schur import Decomposition
 
 WEDGE_RANK = 20
-TOP_WEIGHT = (10, 10, 10, 10, 10, 10)
+TOP_WEIGHT = int.from_bytes(bytes([10] * 6), "little")  # (10,...,10), packed
 
 
 def wedge3_weights() -> list[Weight]:
@@ -37,87 +38,64 @@ def wedge3_weights() -> list[Weight]:
 
 
 @cache
-def _dominant_layers() -> tuple[dict[Weight, int], ...]:
-    """Dominant weight multiplicities of the exterior powers p = 0..10.
+def _layers() -> tuple[dict[int, int], ...]:
+    """Weight multiplicities of the exterior powers p = 0..10, packed.
 
-    Knapsack over the 20 weights, each packed into six 4-bit fields: adding
+    Knapsack over the 20 weights, each packed into six bytes: adding
     weight w with p descending moves every count of layer p at sum s to
     layer p+1 at sum s+w.  A coordinate of a sum of at most ten weights is at
-    most 10 (each index lies in ten of the triples), so no field overflows.
-    Only the weakly decreasing sums of each full layer are kept.
+    most 10 (each index lies in ten of the triples), so no byte overflows.
     """
     half = WEDGE_RANK // 2
     layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(half)]
     for k, triple in enumerate(combinations(range(6), 3)):
-        packed = sum(1 << (4 * i) for i in triple)
+        packed = sum(1 << (8 * i) for i in triple)
         for p in range(min(k, half - 1), -1, -1):
             up = layers[p + 1]
             get = up.get
             for s, n in layers[p].items():
                 s += packed
                 up[s] = get(s, 0) + n
-    out = []
-    for layer in layers:
-        counts: dict[Weight, int] = {}
-        for s, n in layer.items():
-            w = (
-                s & 15,
-                (s >> 4) & 15,
-                (s >> 8) & 15,
-                (s >> 12) & 15,
-                (s >> 16) & 15,
-                (s >> 20) & 15,
-            )
-            if w[0] >= w[1] >= w[2] >= w[3] >= w[4] >= w[5]:
-                counts[w] = n
-        out.append(counts)
-    return tuple(out)
+    return tuple(layers)
 
 
-def _dominant_multiplicities(p: int) -> dict[Weight, int]:
-    """Multiplicity of each dominant weight in the p-th exterior power.
+def weight_multiplicities(p: int) -> dict[Weight, int]:
+    """Multiplicity of every weight of the p-th exterior power.
 
     For p <= 10 this is layer p of the knapsack.  For p > 10 a p-subset is
-    the complement of a (20-p)-subset, whose sum is TOP_WEIGHT minus its own,
-    so m_p(w) = m_{20-p}(TOP_WEIGHT - w), and reversing the coordinates keeps
-    the mirrored weight dominant.
+    the complement of a (20-p)-subset, whose sum is TOP_WEIGHT minus its own;
+    no byte of a layer exceeds 10, so the packed subtraction never borrows.
     """
-    layers = _dominant_layers()
+    layers = _layers()
     if p < len(layers):
-        return layers[p]
-    return {
-        tuple(10 - x for x in reversed(w)): n
-        for w, n in layers[WEDGE_RANK - p].items()
-    }
+        layer = layers[p]
+    else:
+        layer = {TOP_WEIGHT - s: n for s, n in layers[WEDGE_RANK - p].items()}
+    return {tuple(s.to_bytes(6, "little")): n for s, n in layer.items()}
 
 
 @cache
 def decompose_wedge_power(p: int) -> Decomposition:
     """Exact irreducible GL(6) decomposition of the p-th exterior power.
 
-    Greedy character subtraction: repeatedly take the lexicographically
-    largest dominant weight with nonzero residual multiplicity (which is
-    dominance-maximal, hence a highest weight) and subtract its Kostka row.
+    Brauer's formula (Klimyk's with a trivial factor): each weight w of
+    multiplicity n adds (-1)^inv * n at the dominant weight that
+    ``partitions.reflect(w)`` gives, and nothing when it returns None (a wall).
+    The weights are returned in descending order.
     """
     if not 0 <= p <= WEDGE_RANK:
         raise ValueError(f"exterior power degree out of range: {p}")
-    residual = dict(_dominant_multiplicities(p))
     out: Decomposition = {}
-    while residual:
-        lam = max(residual)
-        mult = residual[lam]
-        out[lam] = mult
-        for mu in list(residual):
-            k = kostka(lam, mu)
-            if not k:
-                continue
-            left = residual[mu] - mult * k
-            if left < 0:
-                raise ArithmeticError(f"negative residual at {mu} while splitting {lam}")
-            if left:
-                residual[mu] = left
-            else:
-                del residual[mu]
+    for w, n in weight_multiplicities(p).items():
+        r = reflect(w)
+        if r is None:
+            continue
+        inversions, v = r
+        lam = tuple(x - 5 + i for i, x in enumerate(v))
+        out[lam] = out.get(lam, 0) + (-n if inversions % 2 else n)
+    if any(n < 0 for n in out.values()):
+        raise ArithmeticError(f"negative multiplicity in wedge power {p}")
+    out = {lam: out[lam] for lam in sorted(out, reverse=True) if out[lam]}
     dim = sum(n * weyl_dim(6, w) for w, n in out.items())
     if dim != comb(WEDGE_RANK, p):
         raise ArithmeticError(f"dimension mismatch in wedge power {p}: {dim}")
@@ -130,8 +108,8 @@ def koszul_factor_table() -> tuple[Decomposition, ...]:
 
     Columns up to 10 are computed directly; column 10+k is column 10-k with
     every weight raised by k (the top wedge is the tenth determinant power).
-    Every column lists its weights in descending order: the split takes the
-    largest residual weight first, and a uniform shift keeps the order.
+    Every column lists its weights in descending order, as
+    ``decompose_wedge_power`` returns them, and a uniform shift keeps it.
     """
     columns = [decompose_wedge_power(p) for p in range(11)]
     for k in range(1, 11):

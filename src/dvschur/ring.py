@@ -127,7 +127,6 @@ PT = RingElement(pt=Q(1))
 
 C2X = H2 - 8 * CH2                       # second Chern class of the fourfold
 CH4_CLASS = Q(-1, 4) * PT                # ch4(Q) integrates to -1/4
-CH_Q = RingElement(Q(4), Q(1), Q(0), Q(1), Q(1), Q(-1, 4))
 TODD = ONE + Q(1, 12) * C2X + 3 * PT
 SQRT_TODD = ONE + Q(1, 24) * C2X + Q(25, 32) * PT
 H_DUAL = -4 * CH3                        # h^3 = 66 h_dual; BBF pairing dual of h

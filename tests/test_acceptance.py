@@ -70,11 +70,9 @@ def report(name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_koszul_table(capsys):
-    plethysm._dominant_layers.cache_clear()
+    plethysm._layers.cache_clear()
     plethysm.decompose_wedge_power.cache_clear()
     plethysm.koszul_factor_table.cache_clear()
-    schur._kostka.cache_clear()
-    schur._strips_below.cache_clear()
     start = time.monotonic()
     code = cli_main(["koszul-table"])
     elapsed = time.monotonic() - start

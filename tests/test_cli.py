@@ -75,6 +75,20 @@ def test_override_file_non_integer_rank_exit_one(capsys, tmp_path):
     assert err.startswith("error: override 1: field 'rank' is not an integer")
 
 
+@pytest.mark.parametrize("ranks", [(220, 0), (0, 220)])
+def test_override_file_duplicate_differential_exit_one(capsys, tmp_path, ranks):
+    # a second entry for one differential would make the answer depend on order
+    entry = {"q_weight": [5, 5, 2, 0], "twist": -3,
+             "source": {"p": 11, "q": 12}, "target": {"p": 9, "q": 11}}
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps([dict(entry, rank=r) for r in ranks]))
+    assert main(["cohomology", "--lambda", "5,5,2,0", "--twist", "-3",
+                 "--overrides", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: override 1: same differential as override 0")
+
+
 @pytest.mark.parametrize("name, reason", [
     ("missing.json", "No such file or directory"),
     ("", "Is a directory"),

@@ -239,7 +239,7 @@ def test_e1_page_matches_per_factor_bott():
     nonempty = negative = 0
     for lam, d in cases:
         page = e1_page(build_complex(lam, d))
-        assert page.q_weight == lam and page.twist == d
+        assert page.q_weight == lam and page.twist == -d
         assert page.entries == reference_page(lam, d), (lam, d)
         nonempty += bool(page.entries)
         negative += lam[3] < 0

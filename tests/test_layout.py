@@ -1,0 +1,99 @@
+"""Package modules and scripts use each other only through public names.
+
+A private helper (a name with one leading underscore) belongs to its module:
+``src/dvschur/*.py`` and ``scripts/*.py`` may neither import one from a
+sibling module (``from .m import _x``, ``from dvschur.m import _x``) nor
+reach one through a module (``m._x``, ``dvschur.m._x``).  Tests are exempt.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dvschur"
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def sibling(module: str | None, level: int) -> str | None:
+    """The sibling module an import names (``.m`` or ``dvschur.m``), else None."""
+    if module is None:
+        return None
+    parts = module.split(".")
+    if level == 1 and len(parts) == 1:
+        name = parts[0]
+    elif level == 0 and len(parts) == 2 and parts[0] == "dvschur":
+        name = parts[1]
+    else:
+        return None
+    return name if name in MODULES else None
+
+
+def private_uses(source: str) -> list[str]:
+    """Every private name of a sibling module that the source uses."""
+    tree = ast.parse(source)
+    aliases = {}  # local name -> sibling module
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            owner = sibling(node.module, node.level)
+            package = (node.level == 1 and node.module is None) or (
+                node.level == 0 and node.module == "dvschur"
+            )
+            for alias in node.names:
+                if owner and is_private(alias.name):
+                    found.append(f"{owner}.{alias.name}")
+                if package and alias.name in MODULES:
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                owner = sibling(alias.name, 0)
+                if owner and alias.asname:
+                    aliases[alias.asname] = owner
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or not is_private(node.attr):
+            continue
+        base = node.value
+        if isinstance(base, ast.Name) and base.id in aliases:
+            found.append(f"{aliases[base.id]}.{node.attr}")
+        elif (
+            isinstance(base, ast.Attribute)
+            and isinstance(base.value, ast.Name)
+            and base.value.id == "dvschur"
+            and base.attr in MODULES
+        ):
+            found.append(f"{base.attr}.{node.attr}")
+    return found
+
+
+def test_guard_catches_private_uses():
+    source = """
+from . import koszul, schur as s
+from .plethysm import _layers, koszul_factor_table
+from dvschur.ring import _POWER_SUM
+import dvschur.bwb as b
+import dvschur
+koszul._override_from_json(s.__doc__, b._x, dvschur.partitions._staircase_product)
+other._private, koszul.chase, s.__name__
+"""
+    assert sorted(private_uses(source)) == [
+        "bwb._x",
+        "koszul._override_from_json",
+        "partitions._staircase_product",
+        "plethysm._layers",
+        "ring._POWER_SUM",
+    ]
+
+
+def test_no_private_imports_across_modules():
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert len(files) > len(MODULES)
+    violations = {
+        str(path.relative_to(ROOT)): uses
+        for path in files
+        if (uses := private_uses(path.read_text()))
+    }
+    assert violations == {}

@@ -1,14 +1,15 @@
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from dvschur.partitions import weyl_dim
+from dvschur.partitions import is_dominant, weyl_dim
 from dvschur.plethysm import (
-    _dominant_multiplicities,
     decompose_wedge_power,
     koszul_factor_table,
     wedge3_weights,
+    weight_multiplicities,
 )
 from dvschur.reference import koszul_reference
+from test_schur import strip_kostka
 
 
 def test_wedge3_weights():
@@ -35,11 +36,15 @@ def test_dimension_sums():
 
 
 def test_weight_mass():
-    # total weight multiset mass is the binomial coefficient
+    # total weight multiset mass is the binomial coefficient, also when
+    # counted as dominant weights times their orbit sizes
     for p in (3, 7, 10, 13, 17):
-        counts = _dominant_multiplicities(p)
+        counts = weight_multiplicities(p)
+        assert sum(counts.values()) == comb(20, p)
         mass = 0
         for w, n in counts.items():
+            if not is_dominant(w):
+                continue
             orbit = factorial(6)
             for v in set(w):
                 orbit //= factorial(sum(1 for x in w if x == v))
@@ -48,23 +53,22 @@ def test_weight_mass():
 
 
 def subset_enumeration(p):
-    """Dominant weight multiplicities of the p-th exterior power, counted over
-    all p-subsets of the 20 weights (each weight packed into six 4-bit fields;
+    """Weight multiplicities of the p-th exterior power, counted over all
+    p-subsets of the 20 weights (each weight packed into six 4-bit fields;
     no coordinate of a subset sum exceeds 10)."""
     packed = [sum(x << (4 * i) for i, x in enumerate(w)) for w in wedge3_weights()]
     counts = {}
     for subset in combinations(packed, p):
         s = sum(subset)
         w = tuple((s >> (4 * i)) & 15 for i in range(6))
-        if w[0] >= w[1] >= w[2] >= w[3] >= w[4] >= w[5]:
-            counts[w] = counts.get(w, 0) + 1
+        counts[w] = counts.get(w, 0) + 1
     return counts
 
 
 def test_dp_matches_subset_enumeration():
     # p >= 15 checks the complement rule used above p = 10
     for p in (0, 1, 2, 3, 4, 5, 10, 15, 16, 17, 18, 19, 20):
-        assert _dominant_multiplicities(p) == subset_enumeration(p), p
+        assert weight_multiplicities(p) == subset_enumeration(p), p
 
 
 def test_weyl_symmetry_brute_force():
@@ -74,9 +78,11 @@ def test_weyl_symmetry_brute_force():
     for subset in combinations(range(20), 3):
         s = tuple(sum(ws[i][k] for i in subset) for k in range(6))
         full[s] = full.get(s, 0) + 1
-    for w, n in _dominant_multiplicities(3).items():
+    counts = weight_multiplicities(3)
+    assert counts == full
+    for w, n in counts.items():
         for perm in set(permutations(w)):
-            assert full.get(perm, 0) == n
+            assert counts.get(perm, 0) == n
 
 
 def test_published_columns():
@@ -110,6 +116,32 @@ def test_columns_in_descending_weight_order():
         assert weights == sorted(weights, reverse=True), f"column {p}"
         assert len(set(weights)) == len(weights), f"column {p}"
     assert sum(len(col) for col in table) == 156
+
+
+def greedy_split(p):
+    """Reference decomposition by greedy character subtraction: take the
+    largest dominant weight left (dominance-maximal, hence a highest weight)
+    and subtract its Kostka row, until nothing is left."""
+    residual = {w: n for w, n in weight_multiplicities(p).items() if is_dominant(w)}
+    out = {}
+    while residual:
+        lam = max(residual)
+        mult = out[lam] = residual[lam]
+        for mu in list(residual):
+            left = residual[mu] - mult * strip_kostka(lam, mu)
+            assert left >= 0, (p, lam, mu)
+            if left:
+                residual[mu] = left
+            else:
+                del residual[mu]
+    return out
+
+
+def test_brauer_matches_greedy_split():
+    for p in range(21):
+        want = greedy_split(p)
+        got = decompose_wedge_power(p)
+        assert list(got.items()) == list(want.items()), p
 
 
 def test_lead_factor_p10():

@@ -1,10 +1,11 @@
+import functools
+import itertools
 import random
 
 from conftest import random_points, schur_value
 from dvschur.partitions import canonicalize, shifted_dual, weyl_dim
 from dvschur.schur import (
     end_decomposition,
-    kostka,
     lr_coefficients,
     pieri,
     weight_system,
@@ -46,58 +47,155 @@ def test_pieri_examples():
     assert pieri((3, 2, 1, 0), 0, 4) == {(3, 2, 1, 0): 1}
 
 
-def test_pieri_matches_lr():
-    for lam in [(2, 1, 0, 0), (3, 3, 1, 0), (4, 2, 2, 0)]:
-        for m in range(5):
-            mu = (m, 0, 0, 0)
-            assert pieri(lam, m, 4) == lr_coefficients(lam, mu, 4)
+def pieri_strips(lam, m, rank):
+    """Reference Pieri rule: add m boxes to lam, at most one per column
+    (horizontal strips), every resulting shape with multiplicity 1."""
+    lam = tuple(lam) + (0,) * (rank - len(lam))
+    out = {}
+
+    def grow(i, prev, left, shape):
+        if i == rank:
+            if left == 0:
+                out[shape] = 1
+            return
+        for v in range(lam[i], min(prev, lam[i] + left) + 1):
+            grow(i + 1, lam[i], left - (v - lam[i]), shape + (v,))
+
+    grow(0, lam[0] + m, m, ())
+    return out
 
 
-def test_kostka_examples():
-    assert kostka((3, 2, 1), (3, 2, 1)) == 1
-    assert kostka((2, 1, 0), (1, 1, 1)) == 2
-    assert kostka((1, 1, 1), (2, 1, 0)) == 0
-    assert kostka((2, 2), (1, 1, 1, 1)) == 2
-    assert kostka((4, 2), (2, 2, 2)) == 3
+def test_pieri_matches_strips():
+    checked = 0
+    for rank in (1, 2, 3, 4):
+        for lam in itertools.product(range(3, -3, -1), repeat=rank):
+            if list(lam) != sorted(lam, reverse=True):
+                continue
+            for m in range(6):
+                assert pieri(lam, m, rank) == pieri_strips(lam, m, rank), (lam, m)
+                checked += 1
+    assert checked > 1000
+
+
+def strip_kostka(lam, mu):
+    """Reference Kostka number by removing horizontal strips: the number of
+    semistandard tableaux of shape lam and content mu (a partition shape;
+    the content in any order)."""
+    lam = tuple(x for x in lam if x)
+    mu = tuple(x for x in sorted(mu, reverse=True) if x)
+    if sum(lam) != sum(mu):
+        return 0
+    return _strip_kostka(lam, mu)
+
+
+@functools.cache
+def _strip_kostka(lam, mu):
+    if not mu:
+        return 1 if not lam else 0
+    if len(lam) > len(mu):
+        return 0
+    return sum(_strip_kostka(nu, mu[:-1]) for nu in _strips_below(lam, mu[-1]))
+
+
+def _strips_below(lam, size):
+    """Partitions nu with lam/nu a horizontal strip of the given size."""
+    out = []
+
+    def go(i, left, shape):
+        if i == len(lam):
+            if left == 0:
+                out.append(tuple(x for x in shape if x))
+            return
+        floor = lam[i + 1] if i + 1 < len(lam) else 0
+        for v in range(lam[i], max(floor, lam[i] - left) - 1, -1):
+            go(i + 1, left - (lam[i] - v), shape + (v,))
+
+    go(0, size, ())
+    return out
+
+
+def composition_weight_system(lam):
+    """Reference weight system: every vector with entries in [0, lam_1] and
+    sum |lam| (after shifting the last entry to 0) with a nonzero Kostka
+    number, in descending order, shifted back."""
+    shift = lam[-1]
+    base = tuple(x - shift for x in lam)
+    out = []
+    for w in itertools.product(range(base[0], -1, -1), repeat=len(lam)):
+        if sum(w) == sum(base):
+            k = strip_kostka(base, w)
+            if k:
+                out.append((tuple(x + shift for x in w), k))
+    return tuple(out)
+
+
+def multiplicity(lam, w):
+    return dict(weight_system(lam)).get(w, 0)
+
+
+def test_weight_multiplicity_examples():
+    assert multiplicity((3, 2, 1), (3, 2, 1)) == 1
+    assert multiplicity((2, 1, 0), (1, 1, 1)) == 2
+    assert multiplicity((1, 1, 1), (2, 1, 0)) == 0
+    assert multiplicity((2, 2, 0, 0), (1, 1, 1, 1)) == 2
+    assert multiplicity((4, 2, 0), (2, 2, 2)) == 3
     # content order is immaterial
-    assert kostka((3, 1), (1, 2, 1)) == kostka((3, 1), (2, 1, 1))
+    assert multiplicity((3, 1, 0), (1, 2, 1)) == multiplicity((3, 1, 0), (2, 1, 1))
 
 
-def test_kostka_brute_force_small():
-    # enumerate SSYT directly for a handful of shapes
-    def ssyt_count(shape, content):
-        letters = []
-        for i, c in enumerate(content):
-            letters += [i + 1] * c
-        cells = [(r, col) for r, width in enumerate(shape) for col in range(width)]
-        seen = 0
-        def place(idx, grid, remaining):
-            nonlocal seen
-            if idx == len(cells):
-                seen += 1
-                return
-            r, col = cells[idx]
-            used = set()
-            for i, v in enumerate(remaining):
-                if v in used:
-                    continue
-                used.add(v)
-                if col and grid.get((r, col - 1), 0) > v:
-                    continue
-                if r and grid.get((r - 1, col), v) >= v:
-                    continue
-                grid[(r, col)] = v
-                place(idx + 1, grid, remaining[:i] + remaining[i + 1:])
-                del grid[(r, col)]
-        place(0, {}, letters)
-        return seen
+def ssyt_count(shape, content):
+    """Semistandard tableaux of the shape and content, enumerated directly."""
+    letters = []
+    for i, c in enumerate(content):
+        letters += [i + 1] * c
+    cells = [(r, col) for r, width in enumerate(shape) for col in range(width)]
+    seen = 0
+    def place(idx, grid, remaining):
+        nonlocal seen
+        if idx == len(cells):
+            seen += 1
+            return
+        r, col = cells[idx]
+        used = set()
+        for i, v in enumerate(remaining):
+            if v in used:
+                continue
+            used.add(v)
+            if col and grid.get((r, col - 1), 0) > v:
+                continue
+            if r and grid.get((r - 1, col), v) >= v:
+                continue
+            grid[(r, col)] = v
+            place(idx + 1, grid, remaining[:i] + remaining[i + 1:])
+            del grid[(r, col)]
+    place(0, {}, letters)
+    return seen
 
+
+def test_weight_multiplicity_brute_force_small():
     for shape, content in [
         ((3, 2), (2, 2, 1)),
         ((2, 2, 1), (1, 1, 1, 1, 1)),
         ((4, 2, 1), (2, 2, 2, 1)),
     ]:
-        assert kostka(shape, content) == ssyt_count(shape, content)
+        want = ssyt_count(shape, content)
+        lam = shape + (0,) * (len(content) - len(shape))
+        assert multiplicity(lam, content) == want, (shape, content)
+        assert strip_kostka(shape, content) == want, (shape, content)
+
+
+def test_weight_system_matches_compositions():
+    grid = [
+        lam
+        for n, lo, hi in [(2, -3, 3), (3, -2, 2), (4, -2, 2), (5, -1, 1), (6, -1, 1)]
+        for lam in itertools.product(range(hi, lo - 1, -1), repeat=n)
+        if list(lam) == sorted(lam, reverse=True)
+    ]
+    grid += [(3, 2, 1, 0, -1), (3, 1, 0, 0, 0, -1), (2, 2, 1, 0, 0, 0)]
+    for lam in grid:
+        assert weight_system(lam) == composition_weight_system(lam), lam
+    assert {len(lam) for lam in grid} == {2, 3, 4, 5, 6}
+    assert sum(lam[-1] < 0 for lam in grid) > 50
 
 
 def test_lr_dimension_and_symmetry_sample():
