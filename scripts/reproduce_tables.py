@@ -21,7 +21,7 @@ from dvschur.koszul import get_preset  # noqa: E402
 from dvschur.plethysm import koszul_factor_table  # noqa: E402
 from dvschur.reference import (  # noqa: E402
     diff_against_paper,
-    koszul_reference,
+    koszul_mismatches,
     unannotated_mismatches,
 )
 
@@ -31,11 +31,7 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     columns = koszul_factor_table()
-    bad = [
-        p
-        for p, published in enumerate(koszul_reference())
-        if frozenset(columns[p]) != published
-    ]
+    bad = koszul_mismatches(columns)
     (outdir / "koszul_table.md").write_text(koszul_markdown(columns) + "\n")
     print(f"koszul table: {len(bad)} mismatched columns -> {outdir/'koszul_table.md'}")
 

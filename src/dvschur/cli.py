@@ -5,6 +5,12 @@ key order); error messages go to standard error, and no command prints
 progress.  Exit status: 0 on success, 2 when a requested cohomology value is
 indeterminate, 1 on input errors (usage errors included) or an unannotated
 mismatch against the published tables.
+
+Every markdown table and CSV listing goes through one writer, ``_table``,
+and every cell through one rule, ``_cell``: a weight tuple is ``(w)`` in
+markdown and ``"w"`` in CSV (quoted even at length 1), an interval
+``[lo, hi]`` as ``_values_json`` lists it is ``[lo,hi]`` in markdown and
+``lo..hi`` in CSV, and any other value is ``str(value)``.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import bwb, ext, koszul, plethysm, reference, ring, schur
 from .partitions import canonicalize, format_weight, parse_weight
@@ -36,18 +43,32 @@ def _decomposition_json(terms) -> list[dict]:
     ]
 
 
-def _print_decomposition(terms, fmt: str) -> None:
-    ordered = sorted(terms.items(), reverse=True)
-    if fmt == "markdown":
-        lines = ["| weight | mult |", "|---|---|"]
-        lines += [f"| ({format_weight(w)}) | {m} |" for w, m in ordered]
-        print("\n".join(lines))
-    elif fmt == "csv":
-        lines = ["weight,mult"]
-        lines += [f"\"{format_weight(w)}\",{m}" for w, m in ordered]
-        print("\n".join(lines))
-    else:
+def _cell(value, fmt: str) -> str:
+    """One table cell, by the rules in the module docstring."""
+    if isinstance(value, tuple):
+        text = format_weight(value)
+        return f'"{text}"' if fmt == "csv" else f"({text})"
+    if isinstance(value, list):
+        lo, hi = value
+        return f"{lo}..{hi}" if fmt == "csv" else f"[{lo},{hi}]"
+    return str(value)
+
+
+def _table(fmt: str, header, rows) -> str:
+    """The one table writer: CSV lines or a markdown table, cells by ``_cell``."""
+    lines = [[_cell(v, fmt) for v in row] for row in [header, *rows]]
+    if fmt == "csv":
+        return "\n".join(map(",".join, lines))
+    out = ["| " + " | ".join(cells) + " |" for cells in lines]
+    out.insert(1, "|" + "---|" * len(header))
+    return "\n".join(out)
+
+
+def _print_terms(terms, fmt: str) -> None:
+    if fmt == "json":
         print(_dump({"terms": _decomposition_json(terms)}))
+    else:
+        print(_table(fmt, ["weight", "mult"], sorted(terms.items(), reverse=True)))
 
 
 def _values_json(values) -> list:
@@ -101,72 +122,43 @@ def _ext_json(report: ext.ExtReport, with_summands: bool) -> dict:
     return out
 
 
+_EXT_HEADER = ["lambda", "hom", "ext1", "ext2", "ext3", "ext4", "chi"]
+
+
+def _ext_row(report: ext.ExtReport) -> list:
+    return [report.lam, *_values_json(report.ext), report.chi_check]
+
+
+def _diff_note(cells) -> str:
+    notes = []
+    for cell in cells:
+        if cell.status == "annotated":
+            notes.append(f"{cell.column}: computed {cell.computed}, printed {cell.printed}")
+        elif cell.status == "mismatch":
+            notes.append(f"{cell.column}: MISMATCH (printed {cell.printed})")
+    if notes:
+        return "; ".join(notes)
+    if cells and all(cell.printed is None for cell in cells):
+        return "no published value"
+    return "matches"
+
+
 def ext_markdown(reports, diff_cells=None) -> str:
     """Ext reports as a markdown table, with a column of diff notes when
-    the published-table diff cells are given."""
-    with_diff = diff_cells is not None
-    statuses = {}
-    for cell in diff_cells or ():
-        statuses.setdefault(cell.lam, []).append(cell)
-    header = "| lambda | hom | ext1 | ext2 | ext3 | ext4 | chi |"
-    if with_diff:
-        header += " vs published |"
-    lines = [header, "|---|" + "---|" * (6 + with_diff)]
-
-    def show(v):
-        return str(v) if not isinstance(v, tuple) else f"[{v[0]},{v[1]}]"
-
-    for report in reports:
-        vals = " | ".join(show(report.value(n)) for n in range(5))
-        line = f"| ({format_weight(report.lam)}) | {vals} | {report.chi_check} |"
-        if with_diff:
-            cells = statuses.get(report.lam, [])
-            notes = []
-            for cell in cells:
-                if cell.status == "annotated":
-                    notes.append(
-                        f"{cell.column}: computed {cell.computed}, printed {cell.printed}"
-                    )
-                elif cell.status == "mismatch":
-                    notes.append(f"{cell.column}: MISMATCH (printed {cell.printed})")
-            if notes:
-                note = "; ".join(notes)
-            elif cells and all(cell.printed is None for cell in cells):
-                note = "no published value"
-            else:
-                note = "matches"
-            line += f" {note} |"
-        lines.append(line)
-    return "\n".join(lines)
-
-
-def _ext_csv(reports) -> str:
-    lines = ["lambda,hom,ext1,ext2,ext3,ext4,chi,exact"]
-    for r in reports:
-        vals = []
-        for n in range(5):
-            v = r.value(n)
-            vals.append(str(v) if not isinstance(v, tuple) else f"{v[0]}..{v[1]}")
-        lines.append(
-            f"\"{format_weight(r.lam)}\",{','.join(vals)},{r.chi_check},{r.exact}"
-        )
-    return "\n".join(lines)
+    the list of published-table diff cells is given."""
+    rows = [_ext_row(report) for report in reports]
+    if diff_cells is None:
+        return _table("markdown", _EXT_HEADER, rows)
+    for row, report in zip(rows, reports):
+        row.append(_diff_note([c for c in diff_cells if c.lam == report.lam]))
+    return _table("markdown", [*_EXT_HEADER, "vs published"], rows)
 
 
 def koszul_markdown(columns) -> str:
     """Columns p = 0..10 of the Koszul factor table as a markdown grid."""
     shown = [sorted(col, reverse=True) for col in columns[:11]]
-    height = max(len(col) for col in shown)
-    header = "| " + " | ".join(f"p={p}" for p in range(len(shown))) + " |"
-    sep = "|" + "---|" * len(shown)
-    rows = []
-    for i in range(height):
-        row = [
-            "(" + ",".join(map(str, col[i])) + ")" if i < len(col) else "-"
-            for col in shown
-        ]
-        rows.append("| " + " | ".join(row) + " |")
-    return "\n".join([header, sep] + rows)
+    header = [f"p={p}" for p in range(len(shown))]
+    return _table("markdown", header, zip_longest(*shown, fillvalue="-"))
 
 
 def _overrides_from_args(args):
@@ -250,13 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_lr(args) -> int:
     lam = parse_weight(args.lam)
     mu = parse_weight(args.mu)
-    _print_decomposition(schur.lr_coefficients(lam, mu, args.rank), args.fmt)
+    _print_terms(schur.lr_coefficients(lam, mu, args.rank), args.fmt)
     return 0
 
 
 def _cmd_pieri(args) -> int:
     lam = parse_weight(args.lam)
-    _print_decomposition(schur.pieri(lam, args.boxes, args.rank), args.fmt)
+    _print_terms(schur.pieri(lam, args.boxes, args.rank), args.fmt)
     return 0
 
 
@@ -281,24 +273,18 @@ def _cmd_koszul_table(args) -> int:
     if args.fmt == "markdown":
         print(koszul_markdown(columns))
     elif args.fmt == "csv":
-        lines = ["p,weight,mult"]
-        for p, col in enumerate(columns):
-            for w, m in sorted(col.items(), reverse=True):
-                lines.append(f"{p},\"{format_weight(w)}\",{m}")
-        print("\n".join(lines))
-    else:
-        mismatched = [
-            p
-            for p, published in enumerate(reference.koszul_reference())
-            if frozenset(columns[p]) != published
-            or any(m != 1 for m in columns[p].values())
+        rows = [
+            (p, w, m) for p, col in enumerate(columns)
+            for w, m in sorted(col.items(), reverse=True)
         ]
+        print(_table("csv", ["p", "weight", "mult"], rows))
+    else:
         print(_dump({
             "columns": [
                 {"p": p, "factors": _decomposition_json(col)}
                 for p, col in enumerate(columns)
             ],
-            "published_mismatches": mismatched,
+            "published_mismatches": reference.koszul_mismatches(columns),
         }))
     return 0
 
@@ -325,50 +311,48 @@ def _cmd_cohomology(args) -> int:
     return 0 if result.exact else 2
 
 
-def _print_ext(report: ext.ExtReport, fmt: str, with_summands: bool) -> int:
+def _print_ext(reports, fmt: str, payload, diff_cells=None) -> None:
     if fmt == "markdown":
-        print(ext_markdown([report]))
+        print(ext_markdown(reports, diff_cells))
     elif fmt == "csv":
-        print(_ext_csv([report]))
+        rows = [[*_ext_row(r), r.exact] for r in reports]
+        print(_table("csv", [*_EXT_HEADER, "exact"], rows))
     else:
-        print(_dump(_ext_json(report, with_summands)))
-    return 0 if report.exact else 2
+        print(_dump(payload))
 
 
 def _cmd_ext(args) -> int:
     lam = parse_weight(args.lam, 4)
     report = ext.ext_groups(lam, _overrides_from_args(args))
-    return _print_ext(report, args.fmt, args.summands)
+    _print_ext([report], args.fmt, _ext_json(report, args.summands))
+    return 0 if report.exact else 2
 
 
 def _cmd_sym(args) -> int:
     report = ext.sym_ext(args.m, _overrides_from_args(args))
-    return _print_ext(report, args.fmt, False)
+    _print_ext([report], args.fmt, _ext_json(report, False))
+    return 0 if report.exact else 2
 
 
 def _cmd_table1(args) -> int:
     reports = ext.reproduce_table1(_overrides_from_args(args))
     cells = reference.diff_against_paper(reports)
     bad = reference.unannotated_mismatches(cells)
-    if args.fmt == "markdown":
-        print(ext_markdown(reports, cells))
-    elif args.fmt == "csv":
-        print(_ext_csv(reports))
-    else:
-        print(_dump({
-            "rows": [_ext_json(r, False) for r in reports],
-            "diff": [
-                {
-                    "lambda": list(c.lam),
-                    "column": c.column,
-                    "computed": list(c.computed) if isinstance(c.computed, tuple) else c.computed,
-                    "printed": c.printed,
-                    "status": c.status,
-                }
-                for c in cells
-            ],
-            "unannotated_mismatches": len(bad),
-        }))
+    payload = {
+        "rows": [_ext_json(r, False) for r in reports],
+        "diff": [
+            {
+                "lambda": list(c.lam),
+                "column": c.column,
+                "computed": list(c.computed) if isinstance(c.computed, tuple) else c.computed,
+                "printed": c.printed,
+                "status": c.status,
+            }
+            for c in cells
+        ],
+        "unannotated_mismatches": len(bad),
+    }
+    _print_ext(reports, args.fmt, payload, cells)
     return 0 if not bad else 1
 
 

@@ -41,15 +41,15 @@ def wedge3_weights() -> list[Weight]:
 def _layers() -> tuple[dict[int, int], ...]:
     """Weight multiplicities of the exterior powers p = 0..10, packed.
 
-    Knapsack over the 20 weights, each packed into six bytes: adding
+    Knapsack over ``wedge3_weights()``, each packed into six bytes: adding
     weight w with p descending moves every count of layer p at sum s to
     layer p+1 at sum s+w.  A coordinate of a sum of at most ten weights is at
     most 10 (each index lies in ten of the triples), so no byte overflows.
     """
     half = WEDGE_RANK // 2
     layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(half)]
-    for k, triple in enumerate(combinations(range(6), 3)):
-        packed = sum(1 << (8 * i) for i in triple)
+    for k, w in enumerate(wedge3_weights()):
+        packed = int.from_bytes(bytes(w), "little")
         for p in range(min(k, half - 1), -1, -1):
             up = layers[p + 1]
             get = up.get

@@ -100,3 +100,14 @@ def diff_against_paper(reports: list[ExtReport]) -> list[DiffCell]:
 
 def unannotated_mismatches(cells: list[DiffCell]) -> list[DiffCell]:
     return [c for c in cells if c.status == "mismatch"]
+
+
+def koszul_mismatches(columns) -> list[int]:
+    """Columns p = 0..10 whose factors differ from the published set, or
+    that hold a factor at multiplicity other than 1."""
+    return [
+        p
+        for p, published in enumerate(koszul_reference())
+        if frozenset(columns[p]) != published
+        or any(m != 1 for m in columns[p].values())
+    ]

@@ -1,9 +1,13 @@
-"""Package modules and scripts use each other only through public names.
+"""Package modules and scripts use each other only through public names,
+and only the CLI writes to standard output.
 
 A private helper (a name with one leading underscore) belongs to its module:
 ``src/dvschur/*.py`` and ``scripts/*.py`` may neither import one from a
 sibling module (``from .m import _x``, ``from dvschur.m import _x``) nor
 reach one through a module (``m._x``, ``dvschur.m._x``).  Tests are exempt.
+
+Standard output carries only the report, and ``cli.py`` renders it: no other
+module in ``src/dvschur/`` may call ``print`` or reach ``sys.stdout``.
 """
 
 import ast
@@ -95,5 +99,41 @@ def test_no_private_imports_across_modules():
         str(path.relative_to(ROOT)): uses
         for path in files
         if (uses := private_uses(path.read_text()))
+    }
+    assert violations == {}
+
+
+def stdout_uses(source: str) -> list[str]:
+    """Every use of ``print`` and every reach of ``sys.stdout`` in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "print":
+            found.append(f"print@{node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr == "stdout":
+            found.append(f"stdout@{node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found += [f"stdout@{node.lineno}" for a in node.names if a.name == "stdout"]
+    return found
+
+
+def test_guard_catches_stdout_uses():
+    source = """
+import sys
+from sys import stdout as out
+print("progress")
+sys.stdout.write("x")
+sys.stderr.write("fine")
+log = print
+"""
+    assert sorted(stdout_uses(source)) == ["print@4", "print@7", "stdout@3", "stdout@5"]
+
+
+def test_only_cli_writes_stdout():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert PACKAGE / "cli.py" in modules
+    violations = {
+        path.name: uses
+        for path in modules
+        if path.name != "cli.py" and (uses := stdout_uses(path.read_text()))
     }
     assert violations == {}

@@ -8,7 +8,7 @@ from dvschur.plethysm import (
     wedge3_weights,
     weight_multiplicities,
 )
-from dvschur.reference import koszul_reference
+from dvschur.reference import koszul_mismatches, koszul_reference
 from test_schur import strip_kostka
 
 
@@ -90,6 +90,17 @@ def test_published_columns():
     for p, published in enumerate(koszul_reference()):
         assert frozenset(table[p]) == published, f"column {p}"
         assert all(mult == 1 for mult in table[p].values()), f"column {p}"
+    assert koszul_mismatches(table) == []
+
+
+def test_koszul_mismatches_flags_doctored_columns():
+    table = list(koszul_factor_table())
+    doubled = dict(table[2])
+    doubled[(1, 1, 1, 1, 1, 1)] = 2  # right weight set, wrong multiplicity
+    missing = dict(table[5])
+    missing.popitem()
+    table[2], table[5] = doubled, missing
+    assert koszul_mismatches(table) == [2, 5]
 
 
 def test_duality():
