@@ -143,7 +143,7 @@ def _diff_note(cells) -> str:
     return "matches"
 
 
-def ext_markdown(reports, diff_cells=None) -> str:
+def _ext_markdown(reports, diff_cells=None) -> str:
     """Ext reports as a markdown table, with a column of diff notes when
     the list of published-table diff cells is given."""
     rows = [_ext_row(report) for report in reports]
@@ -154,7 +154,7 @@ def ext_markdown(reports, diff_cells=None) -> str:
     return _table("markdown", [*_EXT_HEADER, "vs published"], rows)
 
 
-def koszul_markdown(columns) -> str:
+def _koszul_markdown(columns) -> str:
     """Columns p = 0..10 of the Koszul factor table as a markdown grid."""
     shown = [sorted(col, reverse=True) for col in columns[:11]]
     header = [f"p={p}" for p in range(len(shown))]
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("ext", help="Ext groups of a Schur functor")
     _add_common(sub, lam=True, overrides=True, fmt=True)
     sub.add_argument("--summands", action="store_true",
-                     help="include the per-summand breakdown")
+                     help="include the per-summand breakdown (JSON only)")
 
     sub = subs.add_parser("table1", help="reproduce the published Ext table")
     _add_common(sub, overrides=True, fmt=True)
@@ -271,7 +271,7 @@ def _cmd_bwb(args) -> int:
 def _cmd_koszul_table(args) -> int:
     columns = plethysm.koszul_factor_table()
     if args.fmt == "markdown":
-        print(koszul_markdown(columns))
+        print(_koszul_markdown(columns))
     elif args.fmt == "csv":
         rows = [
             (p, w, m) for p, col in enumerate(columns)
@@ -313,7 +313,7 @@ def _cmd_cohomology(args) -> int:
 
 def _print_ext(reports, fmt: str, payload, diff_cells=None) -> None:
     if fmt == "markdown":
-        print(ext_markdown(reports, diff_cells))
+        print(_ext_markdown(reports, diff_cells))
     elif fmt == "csv":
         rows = [[*_ext_row(r), r.exact] for r in reports]
         print(_table("csv", [*_EXT_HEADER, "exact"], rows))
@@ -322,6 +322,8 @@ def _print_ext(reports, fmt: str, payload, diff_cells=None) -> None:
 
 
 def _cmd_ext(args) -> int:
+    if args.summands and args.fmt != "json":
+        raise ValueError("--summands needs --format json")
     lam = parse_weight(args.lam, 4)
     report = ext.ext_groups(lam, _overrides_from_args(args))
     _print_ext([report], args.fmt, _ext_json(report, args.summands))
@@ -329,7 +331,9 @@ def _cmd_ext(args) -> int:
 
 
 def _cmd_sym(args) -> int:
-    report = ext.sym_ext(args.m, _overrides_from_args(args))
+    if args.m < 0:
+        raise ValueError("symmetric power degree must be nonnegative")
+    report = ext.ext_groups((args.m, 0, 0, 0), _overrides_from_args(args))
     _print_ext([report], args.fmt, _ext_json(report, False))
     return 0 if report.exact else 2
 

@@ -74,14 +74,18 @@ class ExtReport:
         return out
 
 
-def _aggregate(lam, c, summands, overrides) -> ExtReport:
-    keys = [s.normalized() for s in summands]
+def ext_groups(lam: Weight, overrides=()) -> ExtReport:
+    """Ext dimensions of Sigma_lam Q against itself (canonicalised first).
+
+    Symmetric powers included: the chase cache makes a run over m incremental.
+    """
+    lam = check_dominant(lam, 4)
+    c = canonicalize(lam)
     overrides = tuple(overrides)
-    results = {key: chase_summand(key[0], key[1], overrides) for key in sorted(set(keys))}
     ext = [[0, 0] for _ in range(5)]
     pairs = []
-    for summand, key in zip(summands, keys):
-        res = results[key]
+    for summand in end_decomposition(c):
+        res = chase_summand(*summand.normalized(), overrides)
         pairs.append((summand, res))
         for n in range(5):
             lo, hi = res.values[n]
@@ -90,29 +94,6 @@ def _aggregate(lam, c, summands, overrides) -> ExtReport:
     return ExtReport(
         lam, c, tuple((lo, hi) for lo, hi in ext), tuple(pairs), chi_endo(lam)
     )
-
-
-def ext_groups(lam: Weight, overrides=()) -> ExtReport:
-    """Ext dimensions of Sigma_lam Q against itself (canonicalised first)."""
-    lam = check_dominant(lam, 4)
-    c = canonicalize(lam)
-    return _aggregate(lam, c, end_decomposition(c), overrides)
-
-
-def sym_ext(m: int, overrides=()) -> ExtReport:
-    """Ext dimensions of the m-th symmetric power.
-
-    End(Sym^m Q) nests: it is End(Sym^(m-1) Q) plus the single new summand
-    with canonical form (2m, m, m, 0) twisted by O(-m), so the shared chase
-    cache makes the sequence incremental in m.
-    """
-    if m < 0:
-        raise ValueError("symmetric power degree must be nonnegative")
-    lam = (m, 0, 0, 0)
-    summands = tuple(
-        EndSummand((2 * m - i, m, m, i), -m, 1) for i in range(m, -1, -1)
-    )
-    return _aggregate(lam, canonicalize(lam), summands, overrides)
 
 
 def reproduce_table1(overrides=()) -> list[ExtReport]:

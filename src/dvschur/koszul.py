@@ -19,7 +19,7 @@ from functools import cache
 from importlib import resources
 
 from .bwb import bott_dominant
-from .partitions import Weight, check_dominant
+from .partitions import Weight, check_dominant, is_dominant
 from .plethysm import WEDGE_RANK, koszul_factor_table
 
 Position = tuple[int, int]
@@ -42,6 +42,8 @@ class RankOverride:
     note: str = ""
 
     def __post_init__(self):
+        if len(self.q_weight) != 4 or not is_dominant(self.q_weight):  # no page has it
+            raise ValueError(f"q_weight {self.q_weight} is not dominant of length 4")
         p, q = self.source
         pp, qq = self.target
         if not (p > pp and (q - qq) == (p - pp) - 1):
@@ -273,7 +275,7 @@ def _override_from_json(obj, index: int) -> RankOverride:
     target = (integer("target", "p"), integer("target", "q"))
     try:
         return RankOverride(tuple(weight), twist, source, target, rank, obj.get("note", ""))
-    except ValueError as exc:  # illegal differential position or negative rank
+    except ValueError as exc:  # bad q_weight, illegal differential position or rank
         raise OverrideError(f"override {index}: {exc}") from None
 
 

@@ -12,7 +12,8 @@ coefficient is refitted from the oracle because its published quadratic
 term is garbled; see ``alpha2_coefficients``.
 
 The Chern character of an endomorphism bundle End E is the product
-ch(E) * ch(E)^dual, one oracle call per bundle.  It does not use the
+ch(E) * ch(E)^dual, one oracle call per bundle: ``ch_end`` takes any weight
+and calls the oracle on its canonical form.  It does not use the
 Littlewood-Richardson split of End E, so Euler characteristics computed
 from it are an independent check on that split and on the chase; the
 per-summand sum over the split is kept as a test (``tests/test_ring.py``).
@@ -62,9 +63,6 @@ class RingElement:
     def __sub__(self, other: "RingElement") -> "RingElement":
         return self + (-1) * other
 
-    def __neg__(self) -> "RingElement":
-        return (-1) * self
-
     def __rmul__(self, scalar) -> "RingElement":
         c = Q(scalar)
         return RingElement(
@@ -98,19 +96,6 @@ class RingElement:
     def dual(self) -> "RingElement":
         """Chern character of the dual bundle: odd Chern degrees change sign."""
         return RingElement(self.one, -self.h, self.h2, self.ch2, -self.ch3, self.pt)
-
-    def degree_part(self, n: int) -> "RingElement":
-        if n == 0:
-            return RingElement(one=self.one)
-        if n == 2:
-            return RingElement(h=self.h)
-        if n == 4:
-            return RingElement(h2=self.h2, ch2=self.ch2)
-        if n == 6:
-            return RingElement(ch3=self.ch3)
-        if n == 8:
-            return RingElement(pt=self.pt)
-        raise ValueError(f"no component in degree {n}")
 
 
 def integrate(a: RingElement) -> Fraction:
@@ -365,33 +350,22 @@ def ch_closed(c: CanonicalQPartition) -> RingElement:
 # endomorphism bundles: Euler characteristics, discriminant, atomicity
 
 
-@cache
-def ch_end(triple: tuple[int, int, int]) -> RingElement:
-    """Chern character of End(Sigma_(m,t,s,0) Q) as ch(E) * ch(E)^dual.
+def ch_end(lam: Weight) -> RingElement:
+    """Chern character of End(Sigma_lam Q) as ch(E) * ch(E)^dual.
 
-    One oracle call; the sum over the Littlewood-Richardson pieces of End E
-    gives the same class and is checked against this in the tests.
+    One oracle call, on the canonical weight (End E ignores twists and duals);
+    the sum over the Littlewood-Richardson pieces is checked in the tests.
     """
-    ch = ch_oracle(CanonicalQPartition(*triple).weight)
+    ch = ch_oracle(canonicalize(lam).weight)
     return ch * ch.dual()
-
-
-def _triple(lam: Weight) -> tuple[int, int, int]:
-    c = canonicalize(lam)
-    return (c.m, c.t, c.s)
-
-
-@cache
-def _chi_endo(triple: tuple[int, int, int]) -> int:
-    chi = integrate(ch_end(triple) * TODD)
-    if chi.denominator != 1:
-        raise ArithmeticError(f"Euler characteristic not integral at {triple}")
-    return int(chi)
 
 
 def chi_endo(lam: Weight) -> int:
     """Euler characteristic of End(Sigma_lam Q) by Hirzebruch-Riemann-Roch."""
-    return _chi_endo(_triple(lam))
+    chi = integrate(ch_end(lam) * TODD)
+    if chi.denominator != 1:
+        raise ArithmeticError(f"Euler characteristic not integral at {lam}")
+    return int(chi)
 
 
 def chi_endo_closed(m: int, t: int, s: int) -> int:
@@ -412,8 +386,8 @@ def chi_endo_closed(m: int, t: int, s: int) -> int:
 
 def discriminant(lam: Weight) -> RingElement:
     """Discriminant of Sigma_lam Q: minus the degree-4 part of ch(End)."""
-    part = ch_end(_triple(lam)).degree_part(4)
-    return -1 * part
+    ch = ch_end(lam)
+    return RingElement(h2=-ch.h2, ch2=-ch.ch2)
 
 
 def c2x_multiple(x: RingElement) -> Fraction:
@@ -426,7 +400,7 @@ def c2x_multiple(x: RingElement) -> Fraction:
 
 def xi_end_integral(lam: Weight) -> Fraction:
     """Integral of the degree-8 part of ch(End(Sigma_lam Q))."""
-    return integrate(ch_end(_triple(lam)))
+    return integrate(ch_end(lam))
 
 
 def mukai_vector(lam: Weight) -> RingElement:

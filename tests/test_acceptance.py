@@ -26,7 +26,7 @@ from math import comb, isqrt
 from dvschur import plethysm, schur
 from dvschur.bwb import DIM_GR, bott
 from dvschur.cli import main as cli_main
-from dvschur.ext import ext_groups, sym_ext
+from dvschur.ext import ext_groups
 from dvschur.koszul import chase_summand
 from dvschur.partitions import canonicalize, dual, weyl_dim
 from dvschur.reference import diff_against_paper, koszul_reference
@@ -168,7 +168,7 @@ def test_criterion_4_indeterminate_rows(preset, capsys):
         if code != 2:
             failures.append(f"{lam} exit code {code} != 2")
     for m in (5, 6):
-        rep = sym_ext(m, preset)
+        rep = ext_groups((m, 0, 0, 0), preset)
         if rep.exact or not rep.conflicts():
             failures.append(f"Sym^{m} unexpectedly determinate")
         code = cli_main(["sym", "--m", str(m), "--overrides", "paper-4.2"])
@@ -338,7 +338,7 @@ def test_criterion_7f_sym_ext2_formula(preset):
         num = 3 * (3 * m * m + 12 * m - 20) ** 2 * r * r
         assert num % 400 == 0
         want = num // 400 - 2
-        rep = sym_ext(m, preset)
+        rep = ext_groups((m, 0, 0, 0), preset)
         if not rep.exact or rep.dims() != (1, 0, want, 0, 1):
             failures.append(f"m={m}")
     report("7f (sym ext2 formula)", not failures, "m = 1..4")

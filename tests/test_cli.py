@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -224,3 +226,57 @@ def test_markdown_and_csv_table(capsys):
     code, out = run(capsys, "table1", "--overrides", "paper-4.2", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0] == "lambda,hom,ext1,ext2,ext3,ext4,chi,exact"
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv"])
+def test_ext_summands_needs_json(capsys, fmt):
+    # the breakdown exists only in JSON; a table format must not drop it silently
+    assert main(["ext", "--lambda", "1,0,0,0", "--summands", "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --summands needs --format json\n"
+
+
+def test_sym_negative_degree_exit_one(capsys):
+    assert main(["sym", "--m", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: symmetric power degree must be nonnegative\n"
+
+
+@pytest.mark.parametrize("argv, weight", [
+    (["cohomology", "--lambda", "5,5,2,0", "--twist", "-3"], [1, 2]),
+    (["ext", "--lambda", "2,1,0,0"], [0, 0, 0, 1]),
+])
+def test_override_file_bad_q_weight_exit_one(capsys, tmp_path, argv, weight):
+    # no page has a weight of another length or a non-dominant one
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([
+        {"q_weight": weight, "twist": -3, "rank": 220,
+         "source": {"p": 11, "q": 12}, "target": {"p": 9, "q": 11}},
+    ]))
+    assert main([*argv, "--overrides", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    want = f"error: override 0: q_weight {tuple(weight)} is not dominant of length 4\n"
+    assert captured.err == want
+
+
+def readme_commands():
+    text = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("dvschur ")]
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_readme_commands_run(capsys):
+    # every documented invocation still parses and runs (2 means bounded)
+    commands = readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 2), argv

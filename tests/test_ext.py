@@ -1,6 +1,6 @@
 from dataclasses import replace
 
-from dvschur.ext import TABLE1_ROWS, ext_groups, reproduce_table1, sym_ext
+from dvschur.ext import TABLE1_ROWS, ext_groups, reproduce_table1
 from dvschur.partitions import canonicalize
 from dvschur.reference import (
     diff_against_paper,
@@ -9,7 +9,7 @@ from dvschur.reference import (
     unannotated_mismatches,
 )
 from dvschur.ring import chi_endo_closed, rank_poly
-from dvschur.schur import end_decomposition
+from dvschur.schur import EndSummand, end_decomposition
 
 DETERMINATE = [
     (1, 0, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0), (2, 1, 0, 0), (2, 1, 1, 0),
@@ -76,24 +76,25 @@ def test_chi_cross_check(preset):
         assert d[0] - d[1] + d[2] - d[3] + d[4] == report.chi_check, lam
 
 
-def test_sym_matches_end_decomposition(preset):
-    # also in the indeterminate range: identical summands, identical intervals
-    for m in range(7):
-        assert sym_ext(m, preset).ext == ext_groups((m, 0, 0, 0), preset).ext
+def test_sym_matches_end_decomposition():
+    # End(Sym^m Q) nests: the summands (2m-i, m, m, i) twisted by O(-m), each once
+    for m in range(31):
+        want = [EndSummand((2 * m - i, m, m, i), -m, 1) for i in range(m + 1)]
+        assert end_decomposition(canonicalize((m, 0, 0, 0))) == want, m
 
 
 def test_sym_values(preset):
-    assert sym_ext(1, preset).dims() == (1, 0, 1, 0, 1)
-    assert sym_ext(3, preset).dims() == (1, 0, 5545, 0, 1)
-    assert sym_ext(4, preset).dims() == (1, 0, 53065, 0, 1)
+    assert ext_groups((1, 0, 0, 0), preset).dims() == (1, 0, 1, 0, 1)
+    assert ext_groups((3, 0, 0, 0), preset).dims() == (1, 0, 5545, 0, 1)
+    assert ext_groups((4, 0, 0, 0), preset).dims() == (1, 0, 53065, 0, 1)
     for m in range(1, 5):
         r = rank_poly(m, 0, 0)
         want = 3 * (3 * m * m + 12 * m - 20) ** 2 * r * r // 400 - 2
-        assert sym_ext(m, preset).value(2) == want
+        assert ext_groups((m, 0, 0, 0), preset).value(2) == want
 
 
 def test_sym5_indeterminate(preset):
-    report = sym_ext(5, preset)
+    report = ext_groups((5, 0, 0, 0), preset)
     assert not report.exact
     assert report.conflicts()
 

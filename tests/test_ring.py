@@ -178,15 +178,15 @@ def test_chi_closed_matches_hrr():
 
 def test_ch_end_matches_sum_over_summands():
     # ch(End E) = ch(E) ch(E)^dual against the sum over the Littlewood-Richardson
-    # pieces of End E, in all six coordinates; and the dual of a Chern
-    # character is the oracle on the dual weight
+    # pieces of End E, in all six coordinates, also from the dual weight;
+    # and the dual of a Chern character is the oracle on the dual weight
     for m, t, s in canonical_triples(5):
         lam = (m, t, s, 0)
         pieces = RingElement()
         for summand in end_decomposition(CanonicalQPartition(m, t, s)):
             weight = tuple(x + summand.twist for x in summand.q_weight)
             pieces = pieces + summand.multiplicity * ch_oracle(weight)
-        assert pieces == ch_end((m, t, s)), (m, t, s)
+        assert pieces == ch_end(lam) == ch_end(dual(lam)), (m, t, s)
         assert ch_oracle(lam).dual() == ch_oracle(dual(lam)), (m, t, s)
 
 
