@@ -245,7 +245,7 @@ def chase_summand(q_weight: Weight, twist: int, overrides=()) -> ChaseResult:
 
 
 def _override_from_json(obj, index: int) -> RankOverride:
-    """Entry ``index`` of an override list; a missing or non-integer field
+    """Entry ``index`` of an override list; a missing or mistyped field
     raises OverrideError naming the entry and the field."""
 
     def field(*path):
@@ -273,8 +273,11 @@ def _override_from_json(obj, index: int) -> RankOverride:
     twist, rank = integer("twist"), integer("rank")
     source = (integer("source", "p"), integer("source", "q"))
     target = (integer("target", "p"), integer("target", "q"))
+    note = obj.get("note", "")
+    if not isinstance(note, str):  # the chase cache hashes every override
+        raise OverrideError(f"override {index}: field 'note' is not a string: {note!r}")
     try:
-        return RankOverride(tuple(weight), twist, source, target, rank, obj.get("note", ""))
+        return RankOverride(tuple(weight), twist, source, target, rank, note)
     except ValueError as exc:  # bad q_weight, illegal differential position or rank
         raise OverrideError(f"override {index}: {exc}") from None
 

@@ -6,10 +6,11 @@ multiplication table of the ambient quotient bundle's Chern characters
 restricted to the fourfold.  All arithmetic is exact.
 
 Two independent routes compute Chern characters of Schur functors of Q:
-the splitting-principle oracle (weight enumeration, normative) and closed
-polynomial formulas in the canonical triple (m,t,s).  The degree-4 closed
-coefficient is refitted from the oracle because its published quadratic
-term is garbled; see ``alpha2_coefficients``.
+the splitting-principle oracle (normative: weight-system moments times the
+fixed ring classes ``MONOMIAL_CLASS`` of the monomial symmetric functions)
+and closed polynomial formulas in the canonical triple (m,t,s).  The degree-4
+closed coefficient's published quadratic term is garbled; its exact refit
+against the oracle is the constant ``ALPHA2``.
 
 The Chern character of an endomorphism bundle End E is the product
 ch(E) * ch(E)^dual, one oracle call per bundle: ``ch_end`` takes any weight
@@ -24,14 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, isqrt
+from math import factorial, isqrt, prod
 
 from .partitions import (
     CanonicalQPartition,
     Weight,
     canonicalize,
     check_dominant,
-    is_dominant,
     weyl_dim,
 )
 from .schur import weight_system
@@ -117,113 +117,40 @@ SQRT_TODD = ONE + Q(1, 24) * C2X + Q(25, 32) * PT
 H_DUAL = -4 * CH3                        # h^3 = 66 h_dual; BBF pairing dual of h
 BBF_SQUARE_H = 22                        # Beauville-Bogomolov-Fujiki square of h
 
-# power sums of the Chern roots of Q, as ring classes
-_POWER_SUM = {1: H, 2: 2 * CH2, 3: 6 * CH3, 4: 24 * CH4_CLASS}
-
-
-@cache
-def _partitions(d: int) -> tuple[Weight, ...]:
-    """The partitions of d <= 4: the dominant weights of Sym^d Q, zeros dropped."""
-    return tuple(
-        tuple(x for x in w if x) for w, _ in weight_system((d, 0, 0, 0)) if is_dominant(w)
-    )
-
-
-@cache
-def _monomial_solver(d: int):
-    """Invertible system expressing a symmetric polynomial of degree d <= 4
-    in four variables through products of power sums.
-
-    Returns (partitions pi of d, matrix rows indexed by the same partitions
-    viewed as sorted exponent vectors, columns by pi).
-    """
-    parts = _partitions(d)
-
-    def poly_mul(f, g):
-        out = {}
-        for ea, ca in f.items():
-            for eb, cb in g.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0) + ca * cb
-        return out
-
-    def power_poly(k):
-        out = {}
-        for i in range(4):
-            e = [0, 0, 0, 0]
-            e[i] = k
-            out[tuple(e)] = 1
-        return out
-
-    matrix = []
-    for rho in parts:  # row: monomial orbit with sorted exponents rho
-        row = []
-        alpha = tuple(rho) + (0,) * (4 - len(rho))
-        for pi in parts:  # column: power-sum product p_pi
-            poly = {(0, 0, 0, 0): 1}
-            for k in pi:
-                poly = poly_mul(poly, power_poly(k))
-            row.append(Q(poly.get(alpha, 0)))
-        matrix.append(row)
-    return parts, matrix
-
-
-def _solve(matrix, vector):
-    n = len(vector)
-    aug = [row[:] + [vector[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-@cache
-def _power_sum_product(pi: Weight) -> RingElement:
-    """The product of the power sums p_k of the Chern roots over the parts k of pi."""
-    piece = ONE
-    for k in pi:
-        piece = piece * _POWER_SUM[k]
-    return piece
+# Ring class of the monomial symmetric function m_rho of the Chern roots of Q,
+# for every partition rho of degree <= 4.  These are fixed by the power sums
+# p1 = h, p2 = 2 ch2, p3 = 6 ch3, p4 = 24 ch4(Q) (Newton's identities in four
+# variables); ``tests/test_ring.py`` expands each product of power sums into
+# monomials and checks it against this table.
+MONOMIAL_CLASS = {
+    (1,): H,
+    (2,): 2 * CH2, (1, 1): Q(1, 2) * H2 - CH2,
+    (3,): 6 * CH3, (2, 1): -42 * CH3, (1, 1, 1): -24 * CH3,
+    (4,): -6 * PT, (3, 1): -27 * PT, (2, 2): 33 * PT,
+    (2, 1, 1): 96 * PT, (1, 1, 1, 1): 9 * PT,
+}
 
 
 @cache
 def ch_oracle(lam: Weight) -> RingElement:
     """Chern character of Sigma_lam Q by the splitting principle.
 
-    Sums exp(w . x) over the weight system, truncated in degree 4, rewrites
-    each graded piece in power sums of the Chern roots and evaluates it in
-    the ring.  Normative ground truth for the closed formulas.
+    Sums exp(w . x) over the weight system, truncated in degree 4: the
+    coefficient of the monomial orbit m_rho is the weight moment
+    sum(mult * w^rho) / rho!, and m_rho has the ring class
+    ``MONOMIAL_CLASS[rho]``.  Normative ground truth for the closed formulas.
     """
     lam = check_dominant(lam, 4)
     ws = weight_system(lam)
     total = RingElement(one=Q(sum(mult for _, mult in ws)))
-    for d in range(1, 5):
-        parts, matrix = _monomial_solver(d)
-        vector = []
-        for rho in parts:
-            alpha = tuple(rho) + (0,) * (4 - len(rho))
-            moment = 0
-            for w, mult in ws:
-                term = mult
-                for base_w, e in zip(w, alpha):
-                    if e:
-                        term *= base_w**e
-                moment += term
-            denom = 1
-            for r in rho:
-                denom *= factorial(r)
-            vector.append(Q(moment, denom))
-        coeffs = _solve(matrix, vector)
-        for pi, c in zip(parts, coeffs):
-            if not c:
-                continue
-            total = total + c * _power_sum_product(pi)
+    for rho, cls in MONOMIAL_CLASS.items():
+        moment = 0
+        for w, mult in ws:
+            term = mult
+            for x, e in zip(w, rho):
+                term *= x**e
+            moment += term
+        total = total + Q(moment, prod(map(factorial, rho))) * cls
     return total
 
 
@@ -274,47 +201,14 @@ def alpha0(t, s):
     )
 
 
-def xi_oracle(m: int, t: int, s: int) -> Fraction:
-    """Degree-4 Chern coefficient from the oracle, in units of rank * ch4(Q)."""
-    lam = (m, t, s, 0)
-    r = weyl_dim(4, lam)
-    return ch_oracle(lam).pt / (Q(-1, 4) * r)
+# (A, B, C, D, E, F) of alpha2(t,s) = A t^2 + B t s + C s^2 + D t + E s + F,
+# refitted exactly from the oracle (``test_closed_matches_oracle`` pins all
+# six): the published s-coefficient is garbled and refits to 80.
+ALPHA2 = (-109, -241, -109, 103, 80, -21)
 
 
-def _alpha2_value(m: int, t: int, s: int) -> Fraction:
-    xi = xi_oracle(m, t, s)
-    return Q(
-        20 * xi + 10 * m**4 - alpha3(t, s) * m**3 - alpha1(t, s) * m - alpha0(t, s),
-        m * m,
-    )
-
-
-@cache
-def alpha2_coefficients() -> tuple[Fraction, ...]:
-    """Quadratic coefficients (A,B,C,D,E,F) of the degree-4 correction term
-    alpha2(t,s) = A t^2 + B t s + C s^2 + D t + E s + F.
-
-    Refitted exactly from the splitting-principle oracle on six canonical
-    triples (the published quadratic is garbled); each sample is checked at
-    two values of m.
-    """
-    samples = [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2)]
-    values = []
-    rows = []
-    for t, s in samples:
-        m = max(t + s, 1)
-        val = _alpha2_value(m, t, s)
-        if val != _alpha2_value(m + 1, t, s) or val != _alpha2_value(m + 2, t, s):
-            raise ArithmeticError(
-                f"degree-4 coefficient at (t,s)={(t, s)} is not quadratic in m"
-            )
-        values.append(val)
-        rows.append([Q(t * t), Q(t * s), Q(s * s), Q(t), Q(s), Q(1)])
-    return tuple(_solve(rows, values))
-
-
-def alpha2(t, s) -> Fraction:
-    a, b, c, d, e, f = alpha2_coefficients()
+def alpha2(t, s):
+    a, b, c, d, e, f = ALPHA2
     return a * t * t + b * t * s + c * s * s + d * t + e * s + f
 
 

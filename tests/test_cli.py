@@ -77,6 +77,22 @@ def test_override_file_non_integer_rank_exit_one(capsys, tmp_path):
     assert err.startswith("error: override 1: field 'rank' is not an integer")
 
 
+@pytest.mark.parametrize("command", [
+    ["ext", "--lambda", "2,1,0,0"], ["table1"], ["sym", "--m", "3"],
+])
+def test_override_file_non_string_note_exit_one(capsys, tmp_path, command):
+    # the note ends up in the key of the chase cache, so it must be hashable
+    entry = {"q_weight": [5, 5, 2, 0], "twist": -3, "rank": 220,
+             "source": {"p": 11, "q": 12}, "target": {"p": 9, "q": 11}, "note": ["x"]}
+    path = tmp_path / "note.json"
+    path.write_text(json.dumps([entry]))
+    assert main(command + ["--overrides", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: override 0: field 'note' is not a string: ['x']")
+
+
 @pytest.mark.parametrize("ranks", [(220, 0), (0, 220)])
 def test_override_file_duplicate_differential_exit_one(capsys, tmp_path, ranks):
     # a second entry for one differential would make the answer depend on order

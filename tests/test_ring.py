@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as Q
 
 from hypothesis import given, settings, strategies as st
@@ -12,13 +13,12 @@ from dvschur.ring import (
     H,
     H2,
     H_DUAL,
+    MONOMIAL_CLASS,
     ONE,
     PT,
     SQRT_TODD,
     TODD,
     RingElement,
-    alpha2,
-    alpha2_coefficients,
     atomicity_report,
     c2x_multiple,
     ch_closed,
@@ -86,6 +86,39 @@ def test_ring_axioms(coeffs):
     assert a * (b + c) == a * b + a * c
 
 
+def partitions_of(d, largest=None):
+    """The partitions of d, parts in decreasing order."""
+    if d == 0:
+        yield ()
+        return
+    for first in range(min(d, largest or d), 0, -1):
+        for rest in partitions_of(d - first, first):
+            yield (first,) + rest
+
+
+def test_monomial_classes_match_power_sums():
+    # expand p_pi = prod_k (x1^k + ... + x4^k) into monomial orbits m_rho: the
+    # table's classes must add up to the product of the power-sum classes
+    power_sum = {1: H, 2: 2 * CH2, 3: 6 * CH3, 4: 24 * CH4_CLASS}
+    pis = [pi for d in range(1, 5) for pi in partitions_of(d)]
+    assert len(pis) == 11 and set(MONOMIAL_CLASS) == set(pis)
+    for pi in pis:
+        poly = Counter({(0, 0, 0, 0): 1})
+        want = ONE
+        for k in pi:
+            step = Counter()
+            for e, c in poly.items():
+                for i in range(4):
+                    step[e[:i] + (e[i] + k,) + e[i + 1:]] += c
+            poly = step
+            want = want * power_sum[k]
+        got = RingElement()
+        for e, c in poly.items():
+            if list(e) == sorted(e, reverse=True):  # one monomial per orbit
+                got = got + c * MONOMIAL_CLASS[tuple(x for x in e if x)]
+        assert got == want, pi
+
+
 def test_ch_oracle_standard():
     assert ch_oracle((1, 0, 0, 0)) == RingElement(Q(4), Q(1), Q(0), Q(1), Q(1), Q(-1, 4))
 
@@ -107,13 +140,6 @@ def test_weight_system_counts():
     for lam in [(2, 1, 0, 0), (3, 2, 1, 0), (1, 0, 0, -1)]:
         total = sum(mult for _, mult in weight_system(lam))
         assert total == weyl_dim(4, lam)
-
-
-def test_alpha2_refit():
-    a, b, c, d, e, f = alpha2_coefficients()
-    # the garbled published term is the s-coefficient: it refits to 80
-    assert (a, b, c, d, e, f) == (-109, -241, -109, 103, 80, -21)
-    assert alpha2(0, 0) == -21
 
 
 def test_closed_matches_oracle():
