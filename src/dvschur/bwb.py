@@ -5,16 +5,12 @@ dominant length-6 weight (tautological side); entries are listed quotient
 side first.  Twists O(-d) are pushed into the tautological side as mu + d
 before calling, since the determinant of the tautological bundle is O(-1).
 
-Two entry points apply the rule.  ``bott`` is the public one: it validates
-both weights (ValueError on a non-dominant or wrong-length weight) and
-memoises its answers.  ``bott_dominant`` is the rule itself: uncached, and it
-trusts its caller to pass a dominant 4-tuple and a dominant 6-tuple of ints.
-``koszul.e1_page`` calls it with the weight ``build_complex`` validated and
-the factor-table weights, which are dominant by construction.
-
-The rule is the dot action of the Weyl group, ``partitions.reflect``, which
-``schur.lr_coefficients`` applies the same way for GL(rank) in Klimyk's
-formula.
+``bott`` is the one entry point: it validates both weights (ValueError on a
+non-dominant or wrong-length weight), applies the rule and memoises its
+answers.  The rule is the dot action of the Weyl group,
+``partitions.reflect``, which ``schur.lr_coefficients`` applies the same way
+for GL(rank) in Klimyk's formula; ``koszul.e1_page`` applies it directly to
+the factor table, since the first page needs only degrees and dimensions.
 """
 
 from __future__ import annotations
@@ -39,20 +35,12 @@ class BottCohomology:
 def bott(lam: Weight, mu: Weight) -> BottCohomology | None:
     """The single nonzero cohomology of the bundle (lam | mu), or None.
 
-    Validates both weights, then applies ``bott_dominant``.
-    """
-    return bott_dominant(check_dominant(lam, 4), check_dominant(mu, 6))
-
-
-def bott_dominant(lam: Weight, mu: Weight) -> BottCohomology | None:
-    """``bott`` for weights already known to be dominant, without validation.
-
     ``partitions.reflect`` of the concatenated weight: a repeated entry after
     adding the staircase (9,...,0) means the bundle is acyclic.  Otherwise the
     degree is the inversion count and the cohomology is the GL(10)
     representation of highest weight sort(shifted) - staircase.
     """
-    r = reflect(lam + mu)
+    r = reflect(check_dominant(lam, 4) + check_dominant(mu, 6))
     if r is None:
         return None
     inversions, s = r

@@ -3,8 +3,10 @@
 Standard output carries exclusively the report (JSON by default, canonical
 key order); error messages go to standard error, and no command prints
 progress.  Exit status: 0 on success, 2 when a requested cohomology value is
-indeterminate, 1 on input errors (usage errors included) or an unannotated
-mismatch against the published tables.
+indeterminate, 1 on input errors (usage errors included), an unannotated
+mismatch against the published tables, or a reader that closed stdout early
+(no traceback).  An override from a file, not a preset, that matches no
+chased summand draws a ``warning:`` line on standard error.
 
 Every markdown table and CSV listing goes through one writer, ``_table``,
 and every cell through one rule, ``_cell``: a weight tuple is ``(w)`` in
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import zip_longest
@@ -167,6 +170,19 @@ def _overrides_from_args(args):
     return koszul.load_overrides(args.overrides)
 
 
+def _warn_unmatched(args, overrides, chased: set) -> None:
+    """Warn about each override whose (q_weight, twist) is not in ``chased``;
+    a preset spans many runs, so it is silent."""
+    for i, ov in enumerate(() if args.overrides in koszul.PRESETS else overrides):
+        if (ov.q_weight, ov.twist) not in chased:
+            print(f"warning: override {i}: no summand chased here has q_weight "
+                  f"{format_weight(ov.q_weight)} and twist {ov.twist}", file=sys.stderr)
+
+
+def _summands(reports) -> set:
+    return {s.normalized() for report in reports for s, _ in report.summands}
+
+
 def _add_common(sub, *, lam=False, mu=False, rank=False, twist=False,
                 overrides=False, fmt=False):
     if lam:
@@ -294,18 +310,13 @@ def _cmd_cohomology(args) -> int:
     overrides = _overrides_from_args(args)
     page = koszul.e1_page(koszul.build_complex(lam, -args.twist))
     result = koszul.chase(page, overrides)
+    _warn_unmatched(args, overrides, {(lam, args.twist)})
     payload = _chase_json(lam, args.twist, result)
     payload["entries"] = [
-        {
-            "p": p,
-            "q": q,
-            "total_degree": q - p,
-            "dim": entry.dim,
-            "constituents": [
-                {"weight": list(w), "mult": m} for w, m in entry.constituents
-            ],
-        }
-        for (p, q), entry in page.entries
+        {"p": p, "q": q, "total_degree": q - p, "dim": dim,
+         "constituents": [{"weight": list(w), "mult": m}
+                          for w, m in koszul.constituents(page, (p, q))]}
+        for (p, q), dim in page.entries
     ]
     print(_dump(payload))
     return 0 if result.exact else 2
@@ -324,22 +335,27 @@ def _print_ext(reports, fmt: str, payload, diff_cells=None) -> None:
 def _cmd_ext(args) -> int:
     if args.summands and args.fmt != "json":
         raise ValueError("--summands needs --format json")
-    lam = parse_weight(args.lam, 4)
-    report = ext.ext_groups(lam, _overrides_from_args(args))
-    _print_ext([report], args.fmt, _ext_json(report, args.summands))
-    return 0 if report.exact else 2
+    return _run_ext(args, parse_weight(args.lam, 4), args.summands)
 
 
 def _cmd_sym(args) -> int:
     if args.m < 0:
         raise ValueError("symmetric power degree must be nonnegative")
-    report = ext.ext_groups((args.m, 0, 0, 0), _overrides_from_args(args))
-    _print_ext([report], args.fmt, _ext_json(report, False))
+    return _run_ext(args, (args.m, 0, 0, 0), False)
+
+
+def _run_ext(args, lam, with_summands: bool) -> int:
+    overrides = _overrides_from_args(args)
+    report = ext.ext_groups(lam, overrides)
+    _warn_unmatched(args, overrides, _summands([report]))
+    _print_ext([report], args.fmt, _ext_json(report, with_summands))
     return 0 if report.exact else 2
 
 
 def _cmd_table1(args) -> int:
-    reports = ext.reproduce_table1(_overrides_from_args(args))
+    overrides = _overrides_from_args(args)
+    reports = ext.reproduce_table1(overrides)
+    _warn_unmatched(args, overrides, _summands(reports))
     cells = reference.diff_against_paper(reports)
     bad = reference.unannotated_mismatches(cells)
     payload = {
@@ -424,10 +440,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here or in print
     except (ValueError, koszul.OverrideError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # quiet the flush at exit: the Python signal docs' recipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

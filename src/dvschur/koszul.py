@@ -4,7 +4,9 @@ The structure sheaf of the fourfold is resolved by the exterior powers of the
 third wedge of the tautological bundle.  Twisting by an irreducible bundle
 and taking cohomology termwise gives a first page whose entry at (p, q) is
 the degree-q cohomology of the p-th term; a potential differential at page r
-connects (p, q) to (p-r, q-r+1) and raises the total degree q-p by one.
+connects (p, q) to (p-r, q-r+1) and raises the total degree q-p by one.  The
+chase reads only the dimension of each entry, so the page holds just that;
+``constituents`` lists the GL(10) pieces of one entry on demand.
 
 When two nonzero entries sit in differential position the chase alone cannot
 decide the rank of the connecting map; such positions are reported as
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
-from .bwb import bott_dominant
-from .partitions import Weight, check_dominant, is_dominant
+from .bwb import bott
+from .partitions import Weight, check_dominant, is_dominant, reflect, weyl_product
 from .plethysm import WEDGE_RANK, koszul_factor_table
 
 Position = tuple[int, int]
@@ -53,10 +55,6 @@ class RankOverride:
         if self.rank < 0:
             raise ValueError("override rank must be nonnegative")
 
-    @property
-    def page(self) -> int:
-        return self.source[0] - self.target[0]
-
 
 class OverrideError(ValueError):
     """An override is inconsistent with the page it is applied to."""
@@ -64,67 +62,60 @@ class OverrideError(ValueError):
 
 @dataclass(frozen=True)
 class TwistedComplex:
-    """Koszul resolution twisted by Sigma_q_weight Q tensor O(twist)."""
+    """Koszul resolution twisted by Sigma_q_weight Q tensor O(twist): term p
+    is factor-table column p with every weight raised by -twist."""
 
     q_weight: Weight
     twist: int
-    terms: tuple[tuple[tuple[Weight, int], ...], ...]
 
 
 def build_complex(lam: Weight, d: int) -> TwistedComplex:
-    """Koszul resolution of Sigma_lam Q tensor O(-d) restricted to the fourfold.
-
-    Term p carries the factor-table column p with every tautological-side
-    weight raised by d.  The columns are in descending weight order, and a
-    uniform shift keeps that order, so the terms are too.
-    """
-    lam = check_dominant(lam, 4)
-    terms = tuple(
-        tuple((tuple(x + d for x in mu), mult) for mu, mult in col.items())
-        for col in koszul_factor_table()
-    )
-    return TwistedComplex(lam, -d, terms)
-
-
-@dataclass(frozen=True)
-class E1Entry:
-    dim: int
-    constituents: tuple[tuple[Weight, int], ...]
+    """Koszul resolution of Sigma_lam Q tensor O(-d) restricted to the fourfold."""
+    return TwistedComplex(check_dominant(lam, 4), -d)
 
 
 @dataclass(frozen=True)
 class E1Page:
+    """The first page: the nonzero positions (p, q), sorted, with dimensions."""
+
     q_weight: Weight
     twist: int  # the power of O(1), as in TwistedComplex
-    entries: tuple[tuple[Position, E1Entry], ...]
+    entries: tuple[tuple[Position, int], ...]
 
     @property
     def euler(self) -> int:
-        return sum((-1) ** (q - p) * e.dim for (p, q), e in self.entries)
+        return sum((-1) ** (q - p) * dim for (p, q), dim in self.entries)
 
 
 def e1_page(cx: TwistedComplex) -> E1Page:
-    """Apply Borel-Weil-Bott to every factor and aggregate per position.
+    """Apply Borel-Weil-Bott to every factor and sum the dimensions per position.
 
-    ``build_complex`` validated ``cx.q_weight`` and the factor weights are
-    dominant by construction, so each factor goes to ``bott_dominant``
-    without re-validation or a memo entry.
+    The rule of ``bwb.bott`` without its validation or memo (``build_complex``
+    validated ``q_weight``; factor weights are dominant by construction):
+    ``partitions.reflect`` of ``q_weight + (mu + d)`` gives the degree q, or
+    None (acyclic), and ``partitions.weyl_product`` the dimension.
     """
-    lam = cx.q_weight
+    lam, d = cx.q_weight, -cx.twist
     dims: dict[Position, int] = {}
-    parts: dict[Position, list[tuple[Weight, int]]] = {}
-    for p, factors in enumerate(cx.terms):
-        for mu, mult in factors:
-            res = bott_dominant(lam, mu)
-            if res is None:
-                continue
-            pos = (p, res.degree)
-            dims[pos] = dims.get(pos, 0) + mult * res.dim
-            parts.setdefault(pos, []).append((res.gl10_weight, mult))
-    entries = tuple(
-        (pos, E1Entry(dims[pos], tuple(parts[pos]))) for pos in sorted(dims)
-    )
-    return E1Page(cx.q_weight, cx.twist, entries)
+    for p, column in enumerate(koszul_factor_table()):
+        for mu, mult in column.items():
+            r = reflect(lam + tuple(x + d for x in mu))
+            if r is not None:
+                pos = (p, r[0])
+                dims[pos] = dims.get(pos, 0) + mult * weyl_product(r[1])
+    return E1Page(lam, cx.twist, tuple(sorted(dims.items())))
+
+
+def constituents(page: E1Page, pos: Position) -> tuple[tuple[Weight, int], ...]:
+    """The GL(10) pieces of the entry at ``pos`` with multiplicity: ``bwb.bott``
+    on each factor of column p raised by -twist, the answers of degree q."""
+    p, q = pos
+    out = []
+    for mu, mult in koszul_factor_table()[p].items():
+        res = bott(page.q_weight, tuple(x - page.twist for x in mu))
+        if res is not None and res.degree == q:
+            out.append((res.gl10_weight, mult))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -170,15 +161,12 @@ def chase(page: E1Page, overrides=()) -> ChaseResult:
     rank.  Processing in page order lets an early override kill later
     potential differentials from the same source.
     """
-    matching = [
-        ov
+    by_pos = {
+        (ov.source, ov.target): ov
         for ov in overrides
         if ov.q_weight == page.q_weight and ov.twist == page.twist
-    ]
-    by_pos = {(ov.source, ov.target): ov for ov in matching}
-    bounds: dict[Position, list[int]] = {
-        pos: [entry.dim, entry.dim] for pos, entry in page.entries
     }
+    bounds = {pos: [dim, dim] for pos, dim in page.entries}
     euler = page.euler
     conflicts: list[Conflict] = []
     consumed = set()

@@ -4,7 +4,7 @@ Littlewood-Richardson products use the Racah-Speiser/Klimyk formula (Klimyk
 1968; Fulton-Harris, Representation Theory, section 25): each weight of one
 factor, with its multiplicity, is added to the other's highest weight and
 moved to the dominant chamber with a sign by ``partitions.reflect``, the rule
-Borel-Weil-Bott (``bwb.bott_dominant``) applies for GL(10).  Pieri products
+Borel-Weil-Bott (``bwb.bott``) applies for GL(10).  Pieri products
 are the Littlewood-Richardson products with a one-row factor.  Weight systems
 come from Gelfand-Tsetlin branching GL(n) to GL(n-1) (Fulton-Harris, section
 8.3 and exercise 15.20); no Kostka numbers are computed.

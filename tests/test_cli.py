@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -296,3 +299,55 @@ def test_readme_commands_run(capsys):
             code = exc.code
         capsys.readouterr()
         assert code in (0, 2), argv
+
+
+def test_closed_pipe_exits_one_quietly():
+    # the report (about 0.7 MB) outgrows the pipe buffer, so a write fails
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dvschur.cli", "ext", "--lambda", "8,4,2,0", "--summands"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "bound'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def override_file(tmp_path, weight, twist):
+    path = tmp_path / "ov.json"
+    path.write_text(json.dumps([{
+        "q_weight": list(weight), "twist": twist,
+        "source": {"p": 11, "q": 12}, "target": {"p": 9, "q": 11}, "rank": 1,
+    }]))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--lambda", "1,0,0,0"],
+    ["ext", "--lambda", "1,0,0,0"],
+    ["sym", "--m", "2"],
+    ["table1"],
+])
+def test_unmatched_override_file_warns(capsys, tmp_path, argv):
+    plain = run(capsys, *argv)
+    path = override_file(tmp_path, (9, 9, 9, 0), -3)
+    assert main([*argv, "--overrides", path]) == plain[0]
+    captured = capsys.readouterr()
+    assert captured.out == plain[1]
+    assert captured.err == (
+        "warning: override 0: no summand chased here has q_weight 9,9,9,0 and twist -3\n"
+    )
+
+
+def test_matched_override_file_and_preset_are_silent(capsys, tmp_path):
+    path = override_file(tmp_path, (5, 5, 2, 0), -3)
+    assert main(["cohomology", "--lambda", "5,5,2,0", "--twist", "-3",
+                 "--overrides", path]) == 2
+    assert capsys.readouterr().err == ""
+    # the preset matches none of the summands of Sym^18
+    assert main(["sym", "--m", "18", "--overrides", "paper-4.2"]) == 2
+    assert capsys.readouterr().err == ""

@@ -1,10 +1,10 @@
-"""Package modules and scripts use each other only through public names,
-and only the CLI writes to standard output.
+"""Package modules use each other only through public names, and only the
+CLI writes to standard output.
 
 A private helper (a name with one leading underscore) belongs to its module:
-``src/dvschur/*.py`` and ``scripts/*.py`` may neither import one from a
-sibling module (``from .m import _x``, ``from dvschur.m import _x``) nor
-reach one through a module (``m._x``, ``dvschur.m._x``).  Tests are exempt.
+``src/dvschur/*.py`` may neither import one from a sibling module
+(``from .m import _x``, ``from dvschur.m import _x``) nor reach one through
+a module (``m._x``, ``dvschur.m._x``).  Tests are exempt.
 
 Standard output carries only the report, and ``cli.py`` renders it: no other
 module in ``src/dvschur/`` may call ``print`` or reach ``sys.stdout``.
@@ -93,7 +93,7 @@ other._private, koszul.chase, s.__name__
 
 
 def test_no_private_imports_across_modules():
-    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    files = sorted(PACKAGE.glob("*.py"))
     assert len(files) > len(MODULES)
     violations = {
         str(path.relative_to(ROOT)): uses
