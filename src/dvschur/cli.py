@@ -442,7 +442,7 @@ def main(argv=None) -> int:
     try:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed pipe fails here or in print
-    except (ValueError, koszul.OverrideError) as exc:
+    except ValueError as exc:  # koszul.OverrideError is one
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:  # quiet the flush at exit: the Python signal docs' recipe

@@ -213,9 +213,10 @@ def chase(page: E1Page, overrides=()) -> ChaseResult:
         stray = {pos: hi for pos, (lo, hi) in bounds.items()
                  if hi and not 0 <= pos[1] - pos[0] <= MAX_DEGREE}
         if stray:
-            raise ArithmeticError(
-                f"determinate chase left cohomology outside degrees 0..4: {stray}"
-            )
+            msg = f"determinate chase left cohomology outside degrees 0..4: {stray}"
+            if consumed:  # then an override's rank is at fault, not the program
+                raise OverrideError(f"{msg}, after overrides at {sorted(consumed)}")
+            raise ArithmeticError(msg)
 
     values = []
     for n in range(MAX_DEGREE + 1):

@@ -4,8 +4,8 @@ The third wedge of C^6 has dimension 20 and weights the indicator vectors of
 3-element subsets of {1..6}.  The weight multiplicities of the p-th exterior
 power count the p-subsets of the 20 weights by their sum, and Brauer's
 formula (Fulton-Harris, Representation Theory, section 25) turns them into
-irreducible pieces through ``partitions.reflect``, the rule Littlewood-
-Richardson and Borel-Weil-Bott use.
+irreducible pieces through ``schur.klimyk_sum``, the sum Littlewood-
+Richardson products use.
 
 The counts come from one knapsack pass over the 20 weights (layer p maps a
 weight sum to the number of p-subsets with that sum), kept for p <= 10 only.
@@ -19,8 +19,8 @@ from functools import cache
 from itertools import combinations
 from math import comb
 
-from .partitions import Weight, reflect, weyl_dim
-from .schur import Decomposition
+from .partitions import Weight, weyl_dim
+from .schur import Decomposition, klimyk_sum
 
 WEDGE_RANK = 20
 TOP_WEIGHT = int.from_bytes(bytes([10] * 6), "little")  # (10,...,10), packed
@@ -78,24 +78,15 @@ def weight_multiplicities(p: int) -> dict[Weight, int]:
 def decompose_wedge_power(p: int) -> Decomposition:
     """Exact irreducible GL(6) decomposition of the p-th exterior power.
 
-    Brauer's formula (Klimyk's with a trivial factor): each weight w of
-    multiplicity n adds (-1)^inv * n at the dominant weight that
-    ``partitions.reflect(w)`` gives, and nothing when it returns None (a wall).
+    Brauer's formula, ``schur.klimyk_sum`` over the weight multiplicities.
     The weights are returned in descending order.
     """
     if not 0 <= p <= WEDGE_RANK:
         raise ValueError(f"exterior power degree out of range: {p}")
-    out: Decomposition = {}
-    for w, n in weight_multiplicities(p).items():
-        r = reflect(w)
-        if r is None:
-            continue
-        inversions, v = r
-        lam = tuple(x - 5 + i for i, x in enumerate(v))
-        out[lam] = out.get(lam, 0) + (-n if inversions % 2 else n)
+    out = klimyk_sum(weight_multiplicities(p).items())
     if any(n < 0 for n in out.values()):
         raise ArithmeticError(f"negative multiplicity in wedge power {p}")
-    out = {lam: out[lam] for lam in sorted(out, reverse=True) if out[lam]}
+    out = dict(sorted(out.items(), reverse=True))
     dim = sum(n * weyl_dim(6, w) for w, n in out.items())
     if dim != comb(WEDGE_RANK, p):
         raise ArithmeticError(f"dimension mismatch in wedge power {p}: {dim}")

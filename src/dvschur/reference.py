@@ -26,7 +26,6 @@ def _tables() -> dict:
     return json.loads(text)
 
 
-@cache
 def table1_reference() -> dict[Weight, dict[str, int | None]]:
     """Published (hom, ext1, ext2) per row; None where nothing is claimed."""
     return {
@@ -35,7 +34,6 @@ def table1_reference() -> dict[Weight, dict[str, int | None]]:
     }
 
 
-@cache
 def known_discrepancies() -> dict[tuple[Weight, str], dict]:
     """Printed cells that fail the chi cross-check, keyed by (lambda, column).
 
@@ -48,7 +46,6 @@ def known_discrepancies() -> dict[tuple[Weight, str], dict]:
     }
 
 
-@cache
 def koszul_reference() -> tuple[frozenset[Weight], ...]:
     """Published factor sets of the resolution columns p = 0..10."""
     return tuple(

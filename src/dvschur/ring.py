@@ -5,12 +5,13 @@ The working subring of rational even cohomology has the fixed basis
 multiplication table of the ambient quotient bundle's Chern characters
 restricted to the fourfold.  All arithmetic is exact.
 
-Two independent routes compute Chern characters of Schur functors of Q:
-the splitting-principle oracle (normative: weight-system moments times the
-fixed ring classes ``MONOMIAL_CLASS`` of the monomial symmetric functions)
-and closed polynomial formulas in the canonical triple (m,t,s).  The degree-4
-closed coefficient's published quadratic term is garbled; its exact refit
-against the oracle is the constant ``ALPHA2``.
+Chern characters of Schur functors of Q come from one route, the
+splitting-principle oracle (weight-system moments times the fixed ring
+classes ``MONOMIAL_CLASS`` of the monomial symmetric functions).  The
+paper's closed polynomial formulas in the canonical triple (m,t,s), with the
+degree-4 coefficient's garbled quadratic term refitted exactly, live in
+``tests/test_ring.py`` as the independent reference the oracle is checked
+against.
 
 The Chern character of an endomorphism bundle End E is the product
 ch(E) * ch(E)^dual, one oracle call per bundle: ``ch_end`` takes any weight
@@ -111,7 +112,6 @@ CH3 = RingElement(ch3=Q(1))
 PT = RingElement(pt=Q(1))
 
 C2X = H2 - 8 * CH2                       # second Chern class of the fourfold
-CH4_CLASS = Q(-1, 4) * PT                # ch4(Q) integrates to -1/4
 TODD = ONE + Q(1, 12) * C2X + 3 * PT
 SQRT_TODD = ONE + Q(1, 24) * C2X + Q(25, 32) * PT
 H_DUAL = -4 * CH3                        # h^3 = 66 h_dual; BBF pairing dual of h
@@ -155,92 +155,6 @@ def ch_oracle(lam: Weight) -> RingElement:
 
 
 # ---------------------------------------------------------------------------
-# closed-form Chern polynomials in the canonical triple (m, t, s)
-
-
-def rank_poly(m: int, t: int, s: int) -> int:
-    num = (m + 3) * (t + 2) * (s + 1) * (m - t + 1) * (m - s + 2) * (t - s + 1)
-    dim, rem = divmod(num, 12)
-    if rem:
-        raise ArithmeticError(f"rank polynomial not integral at {(m, t, s)}")
-    return dim
-
-
-def ell_poly(m, t, s) -> Fraction:
-    return Q(m + t + s, 4)
-
-
-def delta_poly(m, t, s) -> Fraction:
-    return Q(
-        3 * m * m - 2 * m * t - 2 * m * s + 3 * t * t + 3 * s * s - 2 * t * s
-        + 12 * m + 4 * t - 4 * s,
-        60,
-    )
-
-
-def tau_poly(m, t, s) -> Fraction:
-    return 15 * delta_poly(m, t, s) - 44 * ell_poly(m, t, s) ** 2
-
-
-def alpha3(t, s):
-    return -60 * t - 60 * s + 30
-
-
-def alpha1(t, s):
-    return (
-        -60 * t**3 - 241 * t**2 * s - 241 * t * s**2 - 60 * s**3
-        + 65 * t**2 + 78 * t * s + 4 * s**2 - t + 8 * s + 6
-    )
-
-
-def alpha0(t, s):
-    return (
-        -10 * t**4 - 60 * t**3 * s - 109 * t**2 * s**2 - 60 * t * s**3 - 10 * s**4
-        + 10 * t**3 + 19 * t**2 * s - 19 * t * s**2 - 10 * s**3
-        + 3 * t**2 - 13 * t * s + 3 * s**2 + 14 * t - 14 * s
-    )
-
-
-# (A, B, C, D, E, F) of alpha2(t,s) = A t^2 + B t s + C s^2 + D t + E s + F,
-# refitted exactly from the oracle (``test_closed_matches_oracle`` pins all
-# six): the published s-coefficient is garbled and refits to 80.
-ALPHA2 = (-109, -241, -109, 103, 80, -21)
-
-
-def alpha2(t, s):
-    a, b, c, d, e, f = ALPHA2
-    return a * t * t + b * t * s + c * s * s + d * t + e * s + f
-
-
-def xi_poly(m, t, s) -> Fraction:
-    return Q(
-        -10 * m**4
-        + alpha3(t, s) * m**3
-        + alpha2(t, s) * m**2
-        + alpha1(t, s) * m
-        + alpha0(t, s),
-        20,
-    )
-
-
-def ch_closed(c: CanonicalQPartition) -> RingElement:
-    """Chern character assembled from the closed polynomials r, ell, delta,
-    tau and xi; must agree with the oracle on every canonical triple."""
-    m, t, s = c.m, c.t, c.s
-    r = rank_poly(m, t, s)
-    ell = ell_poly(m, t, s)
-    delta = delta_poly(m, t, s)
-    return (
-        r * ONE
-        + ell * r * H
-        + (delta * r) * CH2
-        + (Q(1, 2) * (ell * ell - delta / 4) * r) * H2
-        + (tau_poly(m, t, s) * ell * r) * CH3
-        + (xi_poly(m, t, s) * r) * CH4_CLASS
-    )
-
-
-# ---------------------------------------------------------------------------
 # endomorphism bundles: Euler characteristics, discriminant, atomicity
 
 
@@ -260,22 +174,6 @@ def chi_endo(lam: Weight) -> int:
     if chi.denominator != 1:
         raise ArithmeticError(f"Euler characteristic not integral at {lam}")
     return int(chi)
-
-
-def chi_endo_closed(m: int, t: int, s: int) -> int:
-    """Closed form of the same Euler characteristic from the Chern polynomials."""
-    r = rank_poly(m, t, s)
-    ell = ell_poly(m, t, s)
-    delta = delta_poly(m, t, s)
-    xi = xi_poly(m, t, s)
-    val = 3 * (
-        1
-        + (-276 * delta - 1936 * ell**4 + 1320 * delta * ell**2 + 207 * delta**2 - 8 * xi)
-        / 48
-    ) * r * r
-    if val.denominator != 1:
-        raise ArithmeticError(f"closed Euler characteristic not integral at {(m, t, s)}")
-    return int(val)
 
 
 def discriminant(lam: Weight) -> RingElement:
@@ -329,7 +227,7 @@ def verbitsky_projection(v: ExtendedMukaiVector) -> RingElement:
 
 def sym_extended_vector(m: int) -> ExtendedMukaiVector:
     """Extended Mukai vector certifying atomicity of the m-th symmetric power."""
-    r = Q(rank_poly(m, 0, 0))
+    r = Q(weyl_dim(4, (m, 0, 0, 0)))
     return ExtendedMukaiVector(
         r, Q(m, 4) * r * H, Q(2 * m * m - 3 * m + 5, 4) * r
     )

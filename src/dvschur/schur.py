@@ -54,22 +54,35 @@ def _pad(w: Weight, rank: int) -> Weight:
 def lr_coefficients(lam: Weight, mu: Weight, rank: int) -> Decomposition:
     """Littlewood-Richardson multiplicities of Sigma_lam x Sigma_mu for GL(rank).
 
-    Klimyk's formula: the sum over the weights w of the factor of smaller
-    dimension, with multiplicity k, of (-1)^inv * k * Sigma_nu, where
-    ``partitions.reflect(lam + w)`` gives inv and nu plus the staircase, or
-    None (no term).  Entries may be negative.  Zero coefficients are dropped.
+    Klimyk's formula (``klimyk_sum``) over the weights w of the factor of
+    smaller dimension, each added to the other's highest weight lam.
     """
     lam = check_dominant(_pad(tuple(lam), rank))
     mu = check_dominant(_pad(tuple(mu), rank))
     if weyl_dim(rank, mu) > weyl_dim(rank, lam):
         lam, mu = mu, lam
+    return klimyk_sum(
+        ([a + b for a, b in zip(lam, w)], k) for w, k in weight_system(mu)
+    )
+
+
+def klimyk_sum(terms) -> Decomposition:
+    """The signed sum of Klimyk's formula over ``(weight, count)`` pairs.
+
+    Each pair adds (-1)^inv * count at nu, where ``partitions.reflect(weight)``
+    gives inv and nu plus the staircase, or None (no term).  A product
+    Sigma_lam x Sigma_mu passes lam + w for the weights w of mu; Brauer's
+    formula for a character is the case lam = 0.  Entries may be negative.
+    Zero coefficients are dropped.
+    """
     out: Decomposition = {}
-    for w, k in weight_system(mu):
-        r = reflect([a + b for a, b in zip(lam, w)])
+    for w, k in terms:
+        r = reflect(w)
         if r is None:
             continue
         inversions, v = r
-        nu = tuple(x - rank + 1 + i for i, x in enumerate(v))
+        top = len(v) - 1  # the staircase is (top, ..., 0)
+        nu = tuple(x - top + i for i, x in enumerate(v))
         out[nu] = out.get(nu, 0) + (-k if inversions % 2 else k)
     return {nu: n for nu, n in out.items() if n}
 

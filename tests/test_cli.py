@@ -130,6 +130,20 @@ def test_override_file_bad_json_exit_one(capsys, tmp_path):
     assert err.startswith(f"error: {path}: not valid JSON: ")
 
 
+def test_override_leaving_stray_cohomology_exit_one(capsys, tmp_path):
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps({"overrides": [
+        {"q_weight": [3, 1, 1, 0], "twist": 0, "source": {"p": 12, "q": 11},
+         "target": {"p": 0, "q": 0}, "rank": 4, "note": "x"},
+    ]}))
+    assert main(["cohomology", "--lambda", "3,1,1,0", "--twist", "0",
+                 "--overrides", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error: determinate chase left cohomology outside")
+    assert captured.err.count("\n") == 1
+
+
 def test_cohomology_golden(capsys):
     code, out = run(capsys, "cohomology", "--lambda", "5,5,2,0",
                     "--twist", "-3", "--overrides", "paper-4.2")

@@ -8,8 +8,8 @@ from dvschur.reference import (
     table1_reference,
     unannotated_mismatches,
 )
-from dvschur.ring import chi_endo_closed, rank_poly
 from dvschur.schur import EndSummand, end_decomposition
+from test_ring import chi_endo_closed, rank_poly
 
 DETERMINATE = [
     (1, 0, 0, 0), (1, 1, 0, 0), (2, 0, 0, 0), (2, 1, 0, 0), (2, 1, 1, 0),

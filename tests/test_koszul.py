@@ -5,6 +5,7 @@ import pytest
 
 from dvschur.bwb import bott
 from dvschur.koszul import (
+    E1Page,
     OverrideError,
     RankOverride,
     TwistedComplex,
@@ -144,6 +145,18 @@ def test_override_validation():
     dangling = RankOverride((5, 5, 2, 0), -3, (12, 13), (9, 11), 5)
     with pytest.raises(OverrideError):
         chase(page, (dangling,))
+
+
+def test_stray_cohomology_blames_override_only_when_one_applied():
+    # an override that leaves an entry outside degrees 0..4 is bad input;
+    # without one, a stray entry is a program fault
+    page = e1_page(build_complex((3, 1, 1, 0), 0))
+    wrong = RankOverride((3, 1, 1, 0), 0, (12, 11), (0, 0), 4)
+    with pytest.raises(OverrideError, match=r"\{\(12, 11\): 6\}"):
+        chase(page, (wrong,))
+    stray = E1Page((0, 0, 0, 0), 0, (((12, 0), 1),))
+    with pytest.raises(ArithmeticError, match=r"\{\(12, 0\): 1\}"):
+        chase(stray)
 
 
 def test_overrides_for_other_bundles_are_ignored(preset):
