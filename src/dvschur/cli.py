@@ -8,11 +8,15 @@ mismatch against the published tables, or a reader that closed stdout early
 (no traceback).  An override from a file, not a preset, that matches no
 chased summand draws a ``warning:`` line on standard error.
 
+Each subcommand is declared once, in ``_COMMANDS`` (name, help, handler, flags),
+and each flag once, in ``_OPTIONS``; ``build_parser`` and ``main`` read both.
+
 Every markdown table and CSV listing goes through one writer, ``_table``,
 and every cell through one rule, ``_cell``: a weight tuple is ``(w)`` in
 markdown and ``"w"`` in CSV (quoted even at length 1), an interval
 ``[lo, hi]`` as ``_values_json`` lists it is ``[lo,hi]`` in markdown and
-``lo..hi`` in CSV, and any other value is ``str(value)``.
+``lo..hi`` in CSV, and any other value is ``str(value)``.  Ext groups, from
+``ext``, ``sym`` and ``table1`` alike, have one writer, ``_print_ext``.
 """
 
 from __future__ import annotations
@@ -90,17 +94,6 @@ def _conflicts_json(result: koszul.ChaseResult) -> list[dict]:
     ]
 
 
-def _chase_json(q_weight, twist, result: koszul.ChaseResult) -> dict:
-    return {
-        "q_weight": list(q_weight),
-        "twist": twist,
-        "values": _values_json(result.values),
-        "exact": result.exact,
-        "conflicts": _conflicts_json(result),
-        "euler": result.euler,
-    }
-
-
 def _ext_json(report: ext.ExtReport, with_summands: bool) -> dict:
     c = report.canonical
     out = {
@@ -125,13 +118,6 @@ def _ext_json(report: ext.ExtReport, with_summands: bool) -> dict:
     return out
 
 
-_EXT_HEADER = ["lambda", "hom", "ext1", "ext2", "ext3", "ext4", "chi"]
-
-
-def _ext_row(report: ext.ExtReport) -> list:
-    return [report.lam, *_values_json(report.ext), report.chi_check]
-
-
 def _diff_note(cells) -> str:
     notes = []
     for cell in cells:
@@ -146,26 +132,8 @@ def _diff_note(cells) -> str:
     return "matches"
 
 
-def _ext_markdown(reports, diff_cells=None) -> str:
-    """Ext reports as a markdown table, with a column of diff notes when
-    the list of published-table diff cells is given."""
-    rows = [_ext_row(report) for report in reports]
-    if diff_cells is None:
-        return _table("markdown", _EXT_HEADER, rows)
-    for row, report in zip(rows, reports):
-        row.append(_diff_note([c for c in diff_cells if c.lam == report.lam]))
-    return _table("markdown", [*_EXT_HEADER, "vs published"], rows)
-
-
-def _koszul_markdown(columns) -> str:
-    """Columns p = 0..10 of the Koszul factor table as a markdown grid."""
-    shown = [sorted(col, reverse=True) for col in columns[:11]]
-    header = [f"p={p}" for p in range(len(shown))]
-    return _table("markdown", header, zip_longest(*shown, fillvalue="-"))
-
-
 def _overrides_from_args(args):
-    if not getattr(args, "overrides", None):
+    if args.overrides is None:  # "" is a file name that fails to load
         return ()
     return koszul.load_overrides(args.overrides)
 
@@ -183,23 +151,20 @@ def _summands(reports) -> set:
     return {s.normalized() for report in reports for s, _ in report.summands}
 
 
-def _add_common(sub, *, lam=False, mu=False, rank=False, twist=False,
-                overrides=False, fmt=False):
-    if lam:
-        sub.add_argument("--lambda", dest="lam", required=True, metavar="W",
-                         help="comma-separated weight, e.g. 3,2,1,0")
-    if mu:
-        sub.add_argument("--mu", required=True, metavar="W")
-    if rank:
-        sub.add_argument("--rank", type=int, default=4)
-    if twist:
-        sub.add_argument("--twist", type=int, default=0,
-                         help="power of O(1); negative for down twists")
-    if overrides:
-        sub.add_argument("--overrides", metavar="PRESET|FILE", default=None)
-    if fmt:
-        sub.add_argument("--format", dest="fmt", default="json",
-                         choices=["json", "markdown", "csv"])
+# Every flag a subcommand may take, with its ``add_argument`` keywords.
+_OPTIONS = {
+    "--lambda": dict(dest="lam", required=True, metavar="W",
+                     help="comma-separated weight, e.g. 3,2,1,0"),
+    "--mu": dict(required=True, metavar="W"),
+    "--m": dict(type=int, required=True),
+    "--rank": dict(type=int, default=4),
+    "--boxes": dict(type=int, required=True, metavar="M"),
+    "--twist": dict(type=int, default=0, help="power of O(1); negative for down twists"),
+    "--overrides": dict(metavar="PRESET|FILE", default=None),
+    "--format": dict(dest="fmt", default="json", choices=["json", "markdown", "csv"]),
+    "--summands": dict(action="store_true",
+                       help="include the per-summand breakdown (JSON only)"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -217,41 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
         "on the very general Debarre-Voisin fourfold.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("lr", help="Littlewood-Richardson product")
-    _add_common(sub, lam=True, mu=True, rank=True, fmt=True)
-
-    sub = subs.add_parser("pieri", help="Pieri rule (tensor by a symmetric power)")
-    _add_common(sub, lam=True, rank=True, fmt=True)
-    sub.add_argument("--boxes", type=int, required=True, metavar="M")
-
-    sub = subs.add_parser("bwb", help="cohomology of one homogeneous bundle")
-    _add_common(sub, lam=True, mu=True)
-
-    sub = subs.add_parser("koszul-table", help="factor table of the resolution")
-    _add_common(sub, fmt=True)
-
-    sub = subs.add_parser("cohomology", help="chase a single twisted summand")
-    _add_common(sub, lam=True, twist=True, overrides=True)
-
-    sub = subs.add_parser("ext", help="Ext groups of a Schur functor")
-    _add_common(sub, lam=True, overrides=True, fmt=True)
-    sub.add_argument("--summands", action="store_true",
-                     help="include the per-summand breakdown (JSON only)")
-
-    sub = subs.add_parser("table1", help="reproduce the published Ext table")
-    _add_common(sub, overrides=True, fmt=True)
-
-    sub = subs.add_parser("sym", help="Ext groups of a symmetric power")
-    sub.add_argument("--m", type=int, required=True)
-    _add_common(sub, overrides=True, fmt=True)
-
-    sub = subs.add_parser("chern", help="Chern data of a Schur functor")
-    _add_common(sub, lam=True)
-
-    sub = subs.add_parser("atomic", help="atomicity test of a Schur functor")
-    _add_common(sub, lam=True)
-
+    for name, (text, _, flags) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=text)
+        for flag in flags:
+            sub.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
@@ -286,8 +220,10 @@ def _cmd_bwb(args) -> int:
 
 def _cmd_koszul_table(args) -> int:
     columns = plethysm.koszul_factor_table()
-    if args.fmt == "markdown":
-        print(_koszul_markdown(columns))
+    if args.fmt == "markdown":  # columns p = 0..10 as a grid
+        shown = [sorted(col, reverse=True) for col in columns[:11]]
+        header = [f"p={p}" for p in range(len(shown))]
+        print(_table("markdown", header, zip_longest(*shown, fillvalue="-")))
     elif args.fmt == "csv":
         rows = [
             (p, w, m) for p, col in enumerate(columns)
@@ -311,25 +247,38 @@ def _cmd_cohomology(args) -> int:
     page = koszul.e1_page(koszul.build_complex(lam, -args.twist))
     result = koszul.chase(page, overrides)
     _warn_unmatched(args, overrides, {(lam, args.twist)})
-    payload = _chase_json(lam, args.twist, result)
-    payload["entries"] = [
-        {"p": p, "q": q, "total_degree": q - p, "dim": dim,
-         "constituents": [{"weight": list(w), "mult": m}
-                          for w, m in koszul.constituents(page, (p, q))]}
-        for (p, q), dim in page.entries
-    ]
-    print(_dump(payload))
+    print(_dump({
+        "q_weight": list(lam),
+        "twist": args.twist,
+        "values": _values_json(result.values),
+        "exact": result.exact,
+        "conflicts": _conflicts_json(result),
+        "euler": result.euler,
+        "entries": [
+            {"p": p, "q": q, "total_degree": q - p, "dim": dim,
+             "constituents": [{"weight": list(w), "mult": m}
+                              for w, m in koszul.constituents(page, (p, q))]}
+            for (p, q), dim in page.entries
+        ],
+    }))
     return 0 if result.exact else 2
 
 
 def _print_ext(reports, fmt: str, payload, diff_cells=None) -> None:
-    if fmt == "markdown":
-        print(_ext_markdown(reports, diff_cells))
-    elif fmt == "csv":
-        rows = [[*_ext_row(r), r.exact] for r in reports]
-        print(_table("csv", [*_EXT_HEADER, "exact"], rows))
-    else:
+    """The one Ext writer: ``payload`` as JSON, or one table row per report."""
+    if fmt == "json":
         print(_dump(payload))
+        return
+    header = ["lambda", "hom", "ext1", "ext2", "ext3", "ext4", "chi"]
+    rows = [[r.lam, *_values_json(r.ext), r.chi_check] for r in reports]
+    if fmt == "csv":
+        header.append("exact")
+        rows = [[*row, r.exact] for row, r in zip(rows, reports)]
+    elif diff_cells is not None:
+        header.append("vs published")
+        rows = [[*row, _diff_note([c for c in diff_cells if c.lam == r.lam])]
+                for row, r in zip(rows, reports)]
+    print(_table(fmt, header, rows))
 
 
 def _cmd_ext(args) -> int:
@@ -422,25 +371,31 @@ def _cmd_atomic(args) -> int:
     return 0
 
 
+# One declaration per subcommand: name -> (help, handler, flags in --help order).
 _COMMANDS = {
-    "lr": _cmd_lr,
-    "pieri": _cmd_pieri,
-    "bwb": _cmd_bwb,
-    "koszul-table": _cmd_koszul_table,
-    "cohomology": _cmd_cohomology,
-    "ext": _cmd_ext,
-    "table1": _cmd_table1,
-    "sym": _cmd_sym,
-    "chern": _cmd_chern,
-    "atomic": _cmd_atomic,
+    "lr": ("Littlewood-Richardson product", _cmd_lr,
+           ("--lambda", "--mu", "--rank", "--format")),
+    "pieri": ("Pieri rule (tensor by a symmetric power)", _cmd_pieri,
+              ("--lambda", "--rank", "--format", "--boxes")),
+    "bwb": ("cohomology of one homogeneous bundle", _cmd_bwb, ("--lambda", "--mu")),
+    "koszul-table": ("factor table of the resolution", _cmd_koszul_table, ("--format",)),
+    "cohomology": ("chase a single twisted summand", _cmd_cohomology,
+                   ("--lambda", "--twist", "--overrides")),
+    "ext": ("Ext groups of a Schur functor", _cmd_ext,
+            ("--lambda", "--overrides", "--format", "--summands")),
+    "table1": ("reproduce the published Ext table", _cmd_table1,
+               ("--overrides", "--format")),
+    "sym": ("Ext groups of a symmetric power", _cmd_sym, ("--m", "--overrides", "--format")),
+    "chern": ("Chern data of a Schur functor", _cmd_chern, ("--lambda",)),
+    "atomic": ("atomicity test of a Schur functor", _cmd_atomic, ("--lambda",)),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, handler, _ = _COMMANDS[args.command]
     try:
-        code = _COMMANDS[args.command](args)
+        code = handler(args)
         sys.stdout.flush()  # a closed pipe fails here or in print
     except ValueError as exc:  # koszul.OverrideError is one
         print(f"error: {exc}", file=sys.stderr)

@@ -15,28 +15,11 @@ from .partitions import CanonicalQPartition, Weight, canonicalize, check_dominan
 from .ring import chi_endo
 from .schur import EndSummand, end_decomposition
 
-TABLE1_ROWS: tuple[Weight, ...] = (
-    (1, 0, 0, 0),
-    (1, 1, 0, 0),
-    (2, 0, 0, 0),
-    (2, 1, 0, 0),
-    (2, 1, 1, 0),
-    (2, 2, 0, 0),
-    (3, 0, 0, 0),
-    (3, 1, 0, 0),
-    (3, 1, 1, 0),
-    (3, 2, 0, 0),
-    (3, 2, 1, 0),
-    (3, 3, 0, 0),
-    (4, 0, 0, 0),
-    (4, 1, 0, 0),
-    (4, 1, 1, 0),
-    (4, 2, 0, 0),
-    (4, 2, 1, 0),
-    (4, 2, 2, 0),
-    (4, 3, 0, 0),
-    (4, 3, 1, 0),
-    (4, 4, 0, 0),
+# The published rows: every canonical weight (m,t,s,0), m >= t >= s >= 0 and
+# m >= t+s, with 1 <= m <= 4, in lexicographic order.
+TABLE1_ROWS: tuple[Weight, ...] = tuple(
+    (m, t, s, 0)
+    for m in range(1, 5) for t in range(m + 1) for s in range(t + 1) if t + s <= m
 )
 
 

@@ -70,7 +70,13 @@ class TwistedComplex:
 
 
 def build_complex(lam: Weight, d: int) -> TwistedComplex:
-    """Koszul resolution of Sigma_lam Q tensor O(-d) restricted to the fourfold."""
+    """Koszul resolution of Sigma_lam Q tensor O(-d) restricted to the fourfold.
+
+    ``d`` counts down twists, against the sign of the complex's ``twist``
+    and the CLI's ``--twist`` (both the power of O(1), here ``-d``).  The
+    flipped sign stays because the benchmark calls
+    ``build_complex(q_weight, -twist)``.
+    """
     return TwistedComplex(check_dominant(lam, 4), -d)
 
 

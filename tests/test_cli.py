@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from dvschur.cli import main
+from dvschur.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -120,6 +121,19 @@ def test_override_path_unreadable_exit_one(capsys, tmp_path, name, reason):
     err = capsys.readouterr().err
     assert err.startswith("error: unknown override preset or unreadable override file: ")
     assert f"{path!r} ({reason}; presets: paper-4.2)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "--lambda", "3,3,0,0"],
+    ["cohomology", "--lambda", "5,5,2,0", "--twist", "-3"],
+])
+def test_empty_overrides_value_exit_one(capsys, argv):
+    # a shell variable that expands to nothing is not a missing --overrides
+    assert main([*argv, "--overrides", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: unknown override preset or unreadable override file: '' (")
 
 
 def test_override_file_bad_json_exit_one(capsys, tmp_path):
@@ -365,3 +379,40 @@ def test_matched_override_file_and_preset_are_silent(capsys, tmp_path):
     # the preset matches none of the summands of Sym^18
     assert main(["sym", "--m", "18", "--overrides", "paper-4.2"]) == 2
     assert capsys.readouterr().err == ""
+
+
+# Each subcommand's options in --help order: flags, dest, required, default,
+# type, choices, action and metavar.
+LAMBDA = ("--lambda", "lam", True, None, None, None, "store", "W")
+MU = ("--mu", "mu", True, None, None, None, "store", "W")
+RANK = ("--rank", "rank", False, 4, int, None, "store", None)
+OVERRIDES = ("--overrides", "overrides", False, None, None, None, "store", "PRESET|FILE")
+FORMAT = ("--format", "fmt", False, "json", None, ["json", "markdown", "csv"], "store", None)
+PARSER_OPTIONS = {
+    "lr": [LAMBDA, MU, RANK, FORMAT],
+    "pieri": [LAMBDA, RANK, FORMAT,
+              ("--boxes", "boxes", True, None, int, None, "store", "M")],
+    "bwb": [LAMBDA, MU],
+    "koszul-table": [FORMAT],
+    "cohomology": [LAMBDA, ("--twist", "twist", False, 0, int, None, "store", None),
+                   OVERRIDES],
+    "ext": [LAMBDA, OVERRIDES, FORMAT,
+            ("--summands", "summands", False, False, None, None, "store_true", None)],
+    "table1": [OVERRIDES, FORMAT],
+    "sym": [("--m", "m", True, None, int, None, "store", None), OVERRIDES, FORMAT],
+    "chern": [LAMBDA],
+    "atomic": [LAMBDA],
+}
+ACTIONS = {argparse._StoreAction: "store", argparse._StoreTrueAction: "store_true"}
+
+
+def test_parser_option_sets():
+    parser = build_parser()
+    [subs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: [(*a.option_strings, a.dest, a.required, a.default, a.type, a.choices,
+                ACTIONS[type(a)], a.metavar)
+               for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        for name, sub in subs.choices.items()
+    }
+    assert list(found.items()) == list(PARSER_OPTIONS.items())

@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from importlib import resources
 
 from dvschur.ext import TABLE1_ROWS, ext_groups, reproduce_table1
 from dvschur.partitions import canonicalize
@@ -20,6 +22,14 @@ INDETERMINATE = [
     (3, 2, 0, 0), (3, 3, 0, 0), (4, 1, 0, 0), (4, 2, 0, 0),
     (4, 2, 1, 0), (4, 3, 0, 0), (4, 3, 1, 0), (4, 4, 0, 0),
 ]
+
+
+def test_table1_rows_are_the_data_file_rows():
+    # a row missing from either list would go undiffed
+    text = resources.files("dvschur.data").joinpath("reference_tables.json").read_text()
+    rows = tuple(tuple(row["lambda"]) for row in json.loads(text)["ext_table"])
+    assert TABLE1_ROWS == rows
+    assert len(rows) == 21
 
 
 def test_wedge2(preset):
