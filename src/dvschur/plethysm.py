@@ -1,16 +1,16 @@
 """Exterior powers of the third wedge of a 6-space, as GL(6) decompositions.
 
-The third wedge of C^6 has dimension 20 and weights the indicator vectors of
-3-element subsets of {1..6}.  The weight multiplicities of the p-th exterior
-power count the p-subsets of the 20 weights by their sum, and Brauer's
-formula (Fulton-Harris, Representation Theory, section 25) turns them into
-irreducible pieces through ``schur.klimyk_sum``, the sum Littlewood-
-Richardson products use.
+The third wedge V of C^6 has dimension 20 and weights the indicator vectors
+e_T of the 3-element subsets T of {1..6}.  Its exterior powers follow from
+Newton's identity (Macdonald, Symmetric Functions and Hall Polynomials,
+I.2),
 
-The counts come from one knapsack pass over the 20 weights (layer p maps a
-weight sum to the number of p-subsets with that sum), kept for p <= 10 only.
-A p-subset is the complement of a (20-p)-subset, so the layers p > 10 are
-the complemented layers 20-p.
+    p * Lambda^p V = sum_{k=1..p} (-1)^(k-1) psi^k(V) * Lambda^(p-k) V,
+
+where the Adams power psi^k(V) is the virtual character with the 20 weights
+k * e_T, each of multiplicity 1.  Each product is Klimyk's formula
+(``schur.klimyk_sum``, the sum Littlewood-Richardson products use): the 20
+weights of psi^k(V) added to every highest weight of the lower power.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .partitions import Weight, weyl_dim
 from .schur import Decomposition, klimyk_sum
 
 WEDGE_RANK = 20
-TOP_WEIGHT = int.from_bytes(bytes([10] * 6), "little")  # (10,...,10), packed
 
 
 def wedge3_weights() -> list[Weight]:
@@ -38,55 +37,33 @@ def wedge3_weights() -> list[Weight]:
 
 
 @cache
-def _layers() -> tuple[dict[int, int], ...]:
-    """Weight multiplicities of the exterior powers p = 0..10, packed.
-
-    Knapsack over ``wedge3_weights()``, each packed into six bytes: adding
-    weight w with p descending moves every count of layer p at sum s to
-    layer p+1 at sum s+w.  A coordinate of a sum of at most ten weights is at
-    most 10 (each index lies in ten of the triples), so no byte overflows.
-    """
-    half = WEDGE_RANK // 2
-    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(half)]
-    for k, w in enumerate(wedge3_weights()):
-        packed = int.from_bytes(bytes(w), "little")
-        for p in range(min(k, half - 1), -1, -1):
-            up = layers[p + 1]
-            get = up.get
-            for s, n in layers[p].items():
-                s += packed
-                up[s] = get(s, 0) + n
-    return tuple(layers)
-
-
-def weight_multiplicities(p: int) -> dict[Weight, int]:
-    """Multiplicity of every weight of the p-th exterior power.
-
-    For p <= 10 this is layer p of the knapsack.  For p > 10 a p-subset is
-    the complement of a (20-p)-subset, whose sum is TOP_WEIGHT minus its own;
-    no byte of a layer exceeds 10, so the packed subtraction never borrows.
-    """
-    layers = _layers()
-    if p < len(layers):
-        layer = layers[p]
-    else:
-        layer = {TOP_WEIGHT - s: n for s, n in layers[WEDGE_RANK - p].items()}
-    return {tuple(s.to_bytes(6, "little")): n for s, n in layer.items()}
-
-
-@cache
 def decompose_wedge_power(p: int) -> Decomposition:
     """Exact irreducible GL(6) decomposition of the p-th exterior power.
 
-    Brauer's formula, ``schur.klimyk_sum`` over the weight multiplicities.
-    The weights are returned in descending order.
+    Newton's identity over the lower powers, each product one Klimyk sum;
+    the signed total must divide exactly by p.  The weights are returned in
+    descending order.
     """
     if not 0 <= p <= WEDGE_RANK:
         raise ValueError(f"exterior power degree out of range: {p}")
-    out = klimyk_sum(weight_multiplicities(p).items())
+    if p == 0:
+        return {(0,) * 6: 1}
+    weights = wedge3_weights()
+    terms = []
+    for k in range(1, p + 1):
+        sign = 1 if k % 2 else -1
+        adams = [tuple(k * x for x in w) for w in weights]
+        for lam, n in decompose_wedge_power(p - k).items():
+            n *= sign
+            for w in adams:
+                terms.append(([a + b for a, b in zip(lam, w)], n))
+    out = {}
+    for nu, n in sorted(klimyk_sum(terms).items(), reverse=True):
+        out[nu], rem = divmod(n, p)
+        if rem:
+            raise ArithmeticError(f"Newton sum not divisible by {p} at {nu}")
     if any(n < 0 for n in out.values()):
         raise ArithmeticError(f"negative multiplicity in wedge power {p}")
-    out = dict(sorted(out.items(), reverse=True))
     dim = sum(n * weyl_dim(6, w) for w, n in out.items())
     if dim != comb(WEDGE_RANK, p):
         raise ArithmeticError(f"dimension mismatch in wedge power {p}: {dim}")

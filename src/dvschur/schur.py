@@ -57,6 +57,8 @@ def lr_coefficients(lam: Weight, mu: Weight, rank: int) -> Decomposition:
     Klimyk's formula (``klimyk_sum``) over the weights w of the factor of
     smaller dimension, each added to the other's highest weight lam.
     """
+    if rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
     lam = check_dominant(_pad(tuple(lam), rank))
     mu = check_dominant(_pad(tuple(mu), rank))
     if weyl_dim(rank, mu) > weyl_dim(rank, lam):
@@ -71,9 +73,10 @@ def klimyk_sum(terms) -> Decomposition:
 
     Each pair adds (-1)^inv * count at nu, where ``partitions.reflect(weight)``
     gives inv and nu plus the staircase, or None (no term).  A product
-    Sigma_lam x Sigma_mu passes lam + w for the weights w of mu; Brauer's
-    formula for a character is the case lam = 0.  Entries may be negative.
-    Zero coefficients are dropped.
+    Sigma_lam x Sigma_mu passes lam + w for the weights w of mu, and the
+    same holds for any Weyl-invariant weight multiset in place of mu, such
+    as an Adams power; Brauer's formula for a character is the case lam = 0.
+    Entries may be negative.  Zero coefficients are dropped.
     """
     out: Decomposition = {}
     for w, k in terms:

@@ -63,7 +63,6 @@ def report(name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_koszul_table(capsys):
-    plethysm._layers.cache_clear()
     plethysm.decompose_wedge_power.cache_clear()
     plethysm.koszul_factor_table.cache_clear()
     start = time.monotonic()

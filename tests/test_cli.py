@@ -53,6 +53,19 @@ def test_usage_error_exit_one(capsys, argv):
     assert err.splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.parametrize("rank", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["lr", "--lambda", "1,0", "--mu", "1"],
+    ["lr", "--lambda", "0", "--mu", "0"],
+    ["pieri", "--lambda", "1,0", "--boxes", "1"],
+])
+def test_non_positive_rank_exit_one(capsys, argv, rank):
+    assert main([*argv, "--rank", rank]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: rank must be at least 1, got {rank}\n"
+
+
 def test_unknown_preset_rejected_before_computation(capsys):
     code = main(["table1", "--overrides", "bogus"])
     assert code == 1

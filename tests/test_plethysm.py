@@ -1,15 +1,62 @@
+from functools import cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from dvschur.partitions import is_dominant, weyl_dim
+import pytest
+
+from dvschur import plethysm
+from dvschur.partitions import Weight, is_dominant, weyl_dim
 from dvschur.plethysm import (
+    WEDGE_RANK,
     decompose_wedge_power,
     koszul_factor_table,
     wedge3_weights,
-    weight_multiplicities,
 )
 from dvschur.reference import koszul_mismatches, koszul_reference
+from dvschur.schur import klimyk_sum
 from test_schur import strip_kostka
+
+# The weight-multiplicity oracle: a knapsack over the 20 weights, which
+# Brauer's formula turns into the decompositions that the Newton recursion in
+# decompose_wedge_power must reproduce.
+TOP_WEIGHT = int.from_bytes(bytes([10] * 6), "little")  # (10,...,10), packed
+
+
+@cache
+def _layers() -> tuple[dict[int, int], ...]:
+    """Weight multiplicities of the exterior powers p = 0..10, packed.
+
+    Knapsack over ``wedge3_weights()``, each packed into six bytes: adding
+    weight w with p descending moves every count of layer p at sum s to
+    layer p+1 at sum s+w.  A coordinate of a sum of at most ten weights is at
+    most 10 (each index lies in ten of the triples), so no byte overflows.
+    """
+    half = WEDGE_RANK // 2
+    layers: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(half)]
+    for k, w in enumerate(wedge3_weights()):
+        packed = int.from_bytes(bytes(w), "little")
+        for p in range(min(k, half - 1), -1, -1):
+            up = layers[p + 1]
+            get = up.get
+            for s, n in layers[p].items():
+                s += packed
+                up[s] = get(s, 0) + n
+    return tuple(layers)
+
+
+def weight_multiplicities(p: int) -> dict[Weight, int]:
+    """Multiplicity of every weight of the p-th exterior power.
+
+    For p <= 10 this is layer p of the knapsack.  For p > 10 a p-subset is
+    the complement of a (20-p)-subset, whose sum is TOP_WEIGHT minus its own;
+    no byte of a layer exceeds 10, so the packed subtraction never borrows.
+    """
+    layers = _layers()
+    if p < len(layers):
+        layer = layers[p]
+    else:
+        layer = {TOP_WEIGHT - s: n for s, n in layers[WEDGE_RANK - p].items()}
+    return {tuple(s.to_bytes(6, "little")): n for s, n in layer.items()}
 
 
 def test_wedge3_weights():
@@ -146,6 +193,50 @@ def greedy_split(p):
             else:
                 del residual[mu]
     return out
+
+
+def test_newton_matches_brauer():
+    # Brauer's formula over the knapsack's weight multiplicities, sorted the
+    # way decompose_wedge_power returns its weights
+    for p in range(21):
+        brauer = klimyk_sum(weight_multiplicities(p).items())
+        want = dict(sorted(brauer.items(), reverse=True))
+        got = decompose_wedge_power(p)
+        assert list(got.items()) == list(want.items()), p
+
+
+def clear_wedge_caches():
+    plethysm.decompose_wedge_power.cache_clear()
+    plethysm.koszul_factor_table.cache_clear()
+
+
+def replaced(i, j):
+    def edit(ws):
+        ws[i] = ws[j]
+        return ws
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda ws: ws[1:], "dimension mismatch in wedge power 1"),
+    (lambda ws: ws + ws[:1], "dimension mismatch in wedge power 1"),
+    # (1,1,0,1,0,0) replaced by (1,0,1,0,1,0), then (1,0,0,1,1,0) by it
+    (replaced(1, 5), "Newton sum not divisible by 2 at"),
+    (replaced(7, 5), "negative multiplicity in wedge power 2"),
+], ids=["dropped", "repeated", "replaced-indivisible", "replaced-negative"])
+def test_doctored_weights_raise(monkeypatch, edit, message):
+    # a weight list that is not the 20 weights of the third wedge must trip
+    # a guard rather than return a column
+    doctored = edit(wedge3_weights())
+    clear_wedge_caches()
+    monkeypatch.setattr(plethysm, "wedge3_weights", lambda: list(doctored))
+    try:
+        with pytest.raises(ArithmeticError, match=message):
+            koszul_factor_table()
+    finally:
+        monkeypatch.undo()
+        clear_wedge_caches()
+    assert decompose_wedge_power(1) == {(1, 1, 1, 0, 0, 0): 1}
 
 
 def test_brauer_matches_greedy_split():
