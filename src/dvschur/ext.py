@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .koszul import ChaseResult, chase_summand
+from .koszul import ChaseResult, chase_summand, serre_partner
 from .partitions import CanonicalQPartition, Weight, canonicalize, check_dominant
 from .ring import chi_endo
 from .schur import EndSummand, end_decomposition
@@ -61,14 +61,23 @@ def ext_groups(lam: Weight, overrides=()) -> ExtReport:
     """Ext dimensions of Sigma_lam Q against itself (canonicalised first).
 
     Symmetric powers included: the chase cache makes a run over m incremental.
+    End is self-dual, so it holds each summand's ``serre_partner``: of a pair
+    with no side named by an override, only the smaller (weight, twist) is
+    chased and the other is its ``ChaseResult.serre_dual``.
     """
     lam = check_dominant(lam, 4)
     c = canonicalize(lam)
     overrides = tuple(overrides)
+    named = {(ov.q_weight, ov.twist) for ov in overrides}
     ext = [[0, 0] for _ in range(5)]
     pairs = []
     for summand in end_decomposition(c):
-        res = chase_summand(*summand.normalized(), overrides)
+        key = summand.normalized()
+        partner = serre_partner(*key)
+        if partner < key and not named & {key, partner}:
+            res = chase_summand(*partner, overrides).serre_dual()
+        else:
+            res = chase_summand(*key, overrides)
         pairs.append((summand, res))
         for n in range(5):
             lo, hi = res.values[n]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
-from .bwb import bott
+from .bwb import DIM_GR, bott
 from .partitions import Weight, check_dominant, is_dominant, reflect, weyl_product
 from .plethysm import WEDGE_RANK, koszul_factor_table
 
@@ -156,6 +156,29 @@ class ChaseResult:
 
     def bounded_degrees(self) -> tuple[int, ...]:
         return tuple(n for n, (lo, hi) in enumerate(self.values) if lo != hi)
+
+    def serre_dual(self) -> ChaseResult:
+        """The override-free chase of this summand's ``serre_partner``, exactly.
+
+        Without overrides the chase lowers no upper endpoint, so each pair in
+        differential position is a conflict with cap min(dim, dim) and each lower
+        endpoint is max(0, dim - sum of its caps), in any order.  K_X is trivial,
+        so phi(p, q) = (20 - p, 24 - q) maps the page, and its page-r pairs target
+        first, onto the partner's; sorted by (page, source), as the chase emits.
+        ``euler`` is this page's: chi(F) = chi(F^*), up to E1Page.euler's rounding.
+        """
+        def phi(p, q):
+            return WEDGE_RANK - p, DIM_GR - q
+        dual = [Conflict(phi(*c.target), phi(*c.source), c.page, c.cap)
+                for c in self.conflicts]
+        dual.sort(key=lambda c: (c.page, c.source))
+        return ChaseResult(tuple(reversed(self.values)), tuple(dual), self.euler)
+
+
+def serre_partner(q_weight: Weight, twist: int) -> tuple[Weight, int]:
+    """The summand (last weight entry 0) whose H^(4-n) is H^n of this one."""
+    a, b, c, _ = q_weight
+    return (a, a - c, a - b, 0), -twist - a
 
 
 def chase(page: E1Page, overrides=()) -> ChaseResult:

@@ -2,7 +2,10 @@ import json
 from dataclasses import replace
 from importlib import resources
 
+import pytest
+
 from dvschur.ext import TABLE1_ROWS, ext_groups, reproduce_table1
+from dvschur.koszul import chase_summand, load_overrides
 from dvschur.partitions import canonicalize
 from dvschur.reference import (
     diff_against_paper,
@@ -179,3 +182,65 @@ def test_euler_of_bounded_report_is_satisfiable(preset):
     lo = sum((-1) ** n * report.ext[n][0] for n in range(5))
     hi = sum((-1) ** n * report.ext[n][1] for n in range(5))
     assert min(lo, hi) <= report.chi_check <= max(lo, hi)
+
+
+def direct_ext(lam, overrides):
+    """Ext of lam with every End summand through ``chase_summand``: no mirror."""
+    ext = [[0, 0] for _ in range(5)]
+    results = []
+    for summand in end_decomposition(canonicalize(lam)):
+        res = chase_summand(*summand.normalized(), tuple(overrides))
+        results.append(res)
+        for n, (lo, hi) in enumerate(res.values):
+            ext[n][0] += summand.multiplicity * lo
+            ext[n][1] += summand.multiplicity * hi
+    return tuple(map(tuple, ext)), results
+
+
+def assert_matches_direct(lam, overrides):
+    report = ext_groups(lam, overrides)
+    ext, results = direct_ext(lam, overrides)
+    assert report.ext == ext, lam
+    assert len(report.summands) == len(results), lam
+    for (summand, res), want in zip(report.summands, results):
+        assert res.values == want.values, (lam, summand)
+        assert res.conflicts == want.conflicts, (lam, summand)
+
+
+@pytest.mark.parametrize("use_preset", [False, True])
+def test_mirrored_ext_equals_direct_sum(use_preset, preset):
+    overrides = preset if use_preset else ()
+    for lam in TABLE1_ROWS + ((8, 4, 2, 0), (10, 5, 2, 0)):
+        assert_matches_direct(lam, overrides)
+
+
+def chases(rows, overrides):
+    chase_summand.cache_clear()
+    for lam in rows:
+        ext_groups(lam, overrides)
+    return chase_summand.cache_info().misses
+
+
+def test_one_chase_per_serre_pair(preset):
+    # a pair is chased on both sides only where an override names one side
+    assert chases([(16, 8, 4, 0)], ()) == 499
+    assert chases([(8, 4, 2, 0)], preset) == 89
+    assert chases(TABLE1_ROWS, preset) == 27  # 33 with both sides chased
+
+
+def test_one_sided_override_is_not_mirrored(tmp_path, preset):
+    # an override file naming ((5,5,2,0), -3) but not its partner
+    # ((5,3,0,0), -2): the pair must be chased on both sides
+    entries = [
+        {"q_weight": list(ov.q_weight), "twist": ov.twist,
+         "source": {"p": ov.source[0], "q": ov.source[1]},
+         "target": {"p": ov.target[0], "q": ov.target[1]}, "rank": ov.rank}
+        for ov in preset if (ov.q_weight, ov.twist) == ((5, 5, 2, 0), -3)
+    ]
+    assert entries
+    path = tmp_path / "one_side.json"
+    path.write_text(json.dumps({"overrides": entries}))
+    overrides = load_overrides(str(path))
+    assert chase_summand((5, 5, 2, 0), -3, overrides).exact
+    assert not chase_summand((5, 3, 0, 0), -2, overrides).exact
+    assert_matches_direct((3, 2, 0, 0), overrides)

@@ -16,6 +16,7 @@ from dvschur.koszul import (
     e1_page,
     get_preset,
     load_overrides,
+    serre_partner,
 )
 from dvschur.plethysm import koszul_factor_table
 
@@ -357,10 +358,46 @@ def test_serre_duality_mirrors_intervals(use_preset, preset):
     # H^n of ((a,b,c,0), t) is H^(4-n) of ((a,a-c,a-b,0), -t-a), bounded
     # intervals included
     overrides = preset if use_preset else ()
+
+    def phi(pos):
+        return 20 - pos[0], 24 - pos[1]
+
     bounded = 0
     for (a, b, c, _), t in serre_sweep():
         res = chase_summand((a, b, c, 0), t, overrides)
         partner = chase_summand((a, a - c, a - b, 0), -t - a, overrides)
         assert res.values == tuple(reversed(partner.values)), ((a, b, c), t)
+        # a conflict src -> tgt of the partner is phi(tgt) -> phi(src) here,
+        # in the chase's (page, source) order
+        mirrored = sorted(
+            ((phi(x.target), phi(x.source), x.page, x.cap) for x in partner.conflicts),
+            key=lambda m: (m[2], m[0]),
+        )
+        direct = [(x.source, x.target, x.page, x.cap) for x in res.conflicts]
+        assert direct == mirrored, ((a, b, c), t)
         bounded += not res.exact
     assert bounded > 100
+
+
+def test_serre_dual_is_the_direct_chase():
+    # without overrides the mirrored chase of the partner page is the chase
+    # of the page, conflict order and Euler characteristic included
+    pairs = several = 0  # several: pages with more than one conflict to order
+    for a in range(8):
+        for b in range(a + 1):
+            for c in range(b + 1):
+                for t in range(-a - 2, 3):
+                    key = ((a, b, c, 0), t)
+                    partner = serre_partner(*key)
+                    if partner < key:  # the pair's representative is the partner
+                        continue
+                    assert serre_partner(*partner) == key
+                    direct = chase(e1_page(build_complex(key[0], -t)))
+                    chased = chase(e1_page(build_complex(partner[0], -partner[1])))
+                    mirrored = chased.serre_dual()
+                    assert mirrored.values == direct.values, key
+                    assert mirrored.conflicts == direct.conflicts, key
+                    assert mirrored.euler == direct.euler, key
+                    pairs += 1
+                    several += len(direct.conflicts) > 1
+    assert pairs == 620 and several > 100
