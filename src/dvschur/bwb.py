@@ -2,7 +2,7 @@
 
 A bundle is indexed by a dominant length-4 weight (quotient side) and a
 dominant length-6 weight (tautological side); entries are listed quotient
-side first.  Twists O(-d) are pushed into the tautological side as mu + d
+side first.  A twist O(t) is pushed into the tautological side as mu - t
 before calling, since the determinant of the tautological bundle is O(-1).
 
 ``bott`` is the one entry point: it validates both weights (ValueError on a

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from . import bwb, ext, koszul, plethysm, reference, ring, schur
-from .partitions import canonicalize, format_weight, parse_weight
+from .partitions import canonicalize, format_weight, normalize, parse_weight
 
 __all__ = ["main"]
 
@@ -139,8 +139,8 @@ def _overrides_from_args(args):
 
 
 def _warn_unmatched(args, overrides, chased: set) -> None:
-    """Warn about each override whose (q_weight, twist) is not in ``chased``;
-    a preset spans many runs, so it is silent."""
+    """Warn about each override whose (q_weight, twist), ``normalize``d like
+    ``chased``, is not in it; a preset spans many runs, so it is silent."""
     for i, ov in enumerate(() if args.overrides in koszul.PRESETS else overrides):
         if (ov.q_weight, ov.twist) not in chased:
             print(f"warning: override {i}: no summand chased here has q_weight "
@@ -246,7 +246,7 @@ def _cmd_cohomology(args) -> int:
     overrides = _overrides_from_args(args)
     page = koszul.e1_page(koszul.build_complex(lam, -args.twist))
     result = koszul.chase(page, overrides)
-    _warn_unmatched(args, overrides, {(lam, args.twist)})
+    _warn_unmatched(args, overrides, {normalize(lam, args.twist)})
     print(_dump({
         "q_weight": list(lam),
         "twist": args.twist,

@@ -50,11 +50,7 @@ class ExtReport:
         return lo if lo == hi else (lo, hi)
 
     def conflicts(self):
-        out = []
-        for summand, res in self.summands:
-            for c in res.conflicts:
-                out.append((summand.normalized(), c))
-        return out
+        return [(s.normalized(), c) for s, res in self.summands for c in res.conflicts]
 
 
 def ext_groups(lam: Weight, overrides=()) -> ExtReport:

@@ -21,7 +21,8 @@ from functools import cache
 from importlib import resources
 
 from .bwb import DIM_GR, bott
-from .partitions import Weight, check_dominant, is_dominant, reflect, weyl_product
+from .partitions import Weight, check_dominant, is_dominant, normalize, reflect
+from .partitions import shifted_dual, weyl_product
 from .plethysm import WEDGE_RANK, koszul_factor_table
 
 Position = tuple[int, int]
@@ -32,8 +33,9 @@ MAX_DEGREE = 4
 class RankOverride:
     """Externally asserted rank of one potential differential.
 
-    ``q_weight`` and ``twist`` identify the summand (twist is the power of
-    O(1), so a bundle twisted by O(-3) has twist -3).
+    ``q_weight`` and ``twist`` name the summand up to the determinant and
+    are stored ``normalize``d (twist is the power of O(1), so a bundle
+    twisted by O(-3) has twist -3).
     """
 
     q_weight: Weight
@@ -46,6 +48,9 @@ class RankOverride:
     def __post_init__(self):
         if len(self.q_weight) != 4 or not is_dominant(self.q_weight):  # no page has it
             raise ValueError(f"q_weight {self.q_weight} is not dominant of length 4")
+        q_weight, twist = normalize(tuple(self.q_weight), self.twist)
+        object.__setattr__(self, "q_weight", q_weight)  # frozen: set once, here
+        object.__setattr__(self, "twist", twist)
         p, q = self.source
         pp, qq = self.target
         if not (p > pp and (q - qq) == (p - pp) - 1):
@@ -72,10 +77,9 @@ class TwistedComplex:
 def build_complex(lam: Weight, d: int) -> TwistedComplex:
     """Koszul resolution of Sigma_lam Q tensor O(-d) restricted to the fourfold.
 
-    ``d`` counts down twists, against the sign of the complex's ``twist``
-    and the CLI's ``--twist`` (both the power of O(1), here ``-d``).  The
-    flipped sign stays because the benchmark calls
-    ``build_complex(q_weight, -twist)``.
+    ``d`` counts down twists, against every other twist in the package (the
+    power of O(1), here ``-d``).  It stays while ``bench/child.py`` calls
+    ``build_complex(q_weight, -twist)``; ROADMAP item D removes it.
     """
     return TwistedComplex(check_dominant(lam, 4), -d)
 
@@ -98,14 +102,14 @@ def e1_page(cx: TwistedComplex) -> E1Page:
 
     The rule of ``bwb.bott`` without its validation or memo (``build_complex``
     validated ``q_weight``; factor weights are dominant by construction):
-    ``partitions.reflect`` of ``q_weight + (mu + d)`` gives the degree q, or
-    None (acyclic), and ``partitions.weyl_product`` the dimension.
+    ``partitions.reflect`` of ``q_weight + (mu - twist)`` gives the degree q,
+    or None (acyclic), and ``partitions.weyl_product`` the dimension.
     """
-    lam, d = cx.q_weight, -cx.twist
+    lam, t = cx.q_weight, cx.twist
     dims: dict[Position, int] = {}
     for p, column in enumerate(koszul_factor_table()):
         for mu, mult in column.items():
-            r = reflect(lam + tuple(x + d for x in mu))
+            r = reflect(lam + tuple(x - t for x in mu))
             if r is not None:
                 pos = (p, r[0])
                 dims[pos] = dims.get(pos, 0) + mult * weyl_product(r[1])
@@ -177,8 +181,7 @@ class ChaseResult:
 
 def serre_partner(q_weight: Weight, twist: int) -> tuple[Weight, int]:
     """The summand (last weight entry 0) whose H^(4-n) is H^n of this one."""
-    a, b, c, _ = q_weight
-    return (a, a - c, a - b, 0), -twist - a
+    return shifted_dual(q_weight), -twist - q_weight[0]
 
 
 def chase(page: E1Page, overrides=()) -> ChaseResult:
@@ -188,12 +191,12 @@ def chase(page: E1Page, overrides=()) -> ChaseResult:
     supplied by an override (both endpoints are reduced by it) or is recorded
     as a conflict, widening both endpoints' intervals by the maximal possible
     rank.  Processing in page order lets an early override kill later
-    potential differentials from the same source.
+    potential differentials from the same source.  Overrides match the
+    page's ``normalize``d name.
     """
+    name = normalize(page.q_weight, page.twist)
     by_pos = {
-        (ov.source, ov.target): ov
-        for ov in overrides
-        if ov.q_weight == page.q_weight and ov.twist == page.twist
+        (ov.source, ov.target): ov for ov in overrides if (ov.q_weight, ov.twist) == name
     }
     bounds = {pos: [dim, dim] for pos, dim in page.entries}
     euler = page.euler

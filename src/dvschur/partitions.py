@@ -48,6 +48,15 @@ def dual(w: Weight) -> Weight:
     return tuple(-x for x in reversed(w))
 
 
+def normalize(q_weight: Weight, twist: int) -> tuple[Weight, int]:
+    """Sigma_q_weight Q tensor O(twist), named with last weight entry 0.
+
+    det Q = O(1), so the last entry moves into the twist; the package folds
+    the determinant here alone."""
+    base = q_weight[-1]
+    return tuple(x - base for x in q_weight), twist + base
+
+
 def shifted_dual(w: Weight) -> Weight:
     """Dual weight shifted so the top entry matches the input's top entry.
 
@@ -62,9 +71,9 @@ def shifted_dual(w: Weight) -> Weight:
 class CanonicalQPartition:
     """Normal form (m,t,s,0) with m >= t+s for a length-4 weight.
 
-    ``twist`` records minus the power of O(1) factored out while normalising,
-    so that the endomorphism bundle of the original Schur functor is that of
-    the canonical one.
+    ``twist`` is the power of O(1) factored out while normalising: the input
+    is Sigma of ``weight``, or of its dual when canonicalising dualised it,
+    tensor O(twist); either way its endomorphism bundle is the canonical one's.
     """
 
     m: int
@@ -84,18 +93,15 @@ class CanonicalQPartition:
 def canonicalize(lam: Weight) -> CanonicalQPartition:
     """Reduce a length-4 weight to (m,t,s,0) with m >= t+s.
 
-    First subtracts the last entry (a determinant twist), then replaces the
-    result by its shifted dual when the top entry is smaller than the sum of
-    the middle two.  Ties (m == t+s) keep the input.
+    First ``normalize``s, then replaces the result by its shifted dual when
+    the top entry is smaller than the sum of the middle two, which moves the
+    top entry into the twist.  Ties (m == t+s) keep the input.
     """
-    lam = check_dominant(lam, 4)
-    base = lam[3]
-    w = tuple(x - base for x in lam)
-    extracted = base
+    w, twist = normalize(check_dominant(lam, 4), 0)
     if w[0] < w[1] + w[2]:
         w = shifted_dual(w)
-        extracted += w[0]
-    return CanonicalQPartition(w[0], w[1], w[2], -extracted)
+        twist += w[0]
+    return CanonicalQPartition(w[0], w[1], w[2], twist)
 
 
 @cache

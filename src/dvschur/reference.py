@@ -69,13 +69,8 @@ def diff_against_paper(reports: list[ExtReport]) -> list[DiffCell]:
     cells = []
     for report in reports:
         printed_row = reference[report.lam]
-        values = {
-            "hom": report.value(0),
-            "ext1": report.value(1),
-            "ext2": report.value(2),
-        }
-        for column in COLUMNS:
-            ours = values[column]
+        for n, column in enumerate(COLUMNS):
+            ours = report.value(n)
             printed = printed_row[column]
             if printed is None:
                 # nothing claimed: indeterminate rows should stay indeterminate

@@ -23,6 +23,7 @@ from .partitions import (
     CanonicalQPartition,
     Weight,
     check_dominant,
+    normalize,
     reflect,
     shifted_dual,
     weyl_dim,
@@ -40,9 +41,7 @@ class EndSummand:
     multiplicity: int
 
     def normalized(self) -> tuple[Weight, int]:
-        """Pull the determinant part of q_weight into the twist (last entry 0)."""
-        base = self.q_weight[-1]
-        return tuple(x - base for x in self.q_weight), self.twist + base
+        return normalize(self.q_weight, self.twist)
 
 
 def _pad(w: Weight, rank: int) -> Weight:

@@ -124,6 +124,37 @@ def test_override_file_duplicate_differential_exit_one(capsys, tmp_path, ranks):
     assert captured.err.startswith("error: override 1: same differential as override 0")
 
 
+@pytest.mark.parametrize("names", [
+    [((5, 5, 2, 0), -3), ((6, 6, 3, 1), -4)],
+    [((6, 6, 3, 1), -4), ((5, 5, 2, 0), -3)],
+])
+def test_override_file_one_differential_under_two_names_exit_one(capsys, tmp_path, names):
+    # Sigma_(6,6,3,1) Q (-4) is Sigma_(5,5,2,0) Q (-3): det Q = O(1)
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps([
+        {"q_weight": list(weight), "twist": twist, "rank": 220,
+         "source": {"p": 11, "q": 12}, "target": {"p": 9, "q": 11}}
+        for weight, twist in names
+    ]))
+    assert main(["cohomology", "--lambda", "5,5,2,0", "--twist", "-3",
+                 "--overrides", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: override 1: same differential as override 0\n"
+
+
+def test_cohomology_names_a_bundle_up_to_the_determinant(capsys):
+    # the preset's entry for ((5,5,2,0), -3) closes the same page under either name
+    answers = []
+    for lam, twist in [("6,6,3,1", "-4"), ("5,5,2,0", "-3")]:
+        code, out = run(capsys, "cohomology", "--lambda", lam, "--twist", twist,
+                        "--overrides", "paper-4.2")
+        assert code == 0, lam
+        payload = json.loads(out)
+        answers.append([payload[key] for key in ("values", "exact", "conflicts", "euler")])
+    assert answers[0] == answers[1] == [[0, 0, 2730, 0, 0], True, [], 2730]
+
+
 @pytest.mark.parametrize("name, reason", [
     ("missing.json", "No such file or directory"),
     ("", "Is a directory"),
@@ -358,11 +389,11 @@ def test_closed_pipe_exits_one_quietly():
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
-def override_file(tmp_path, weight, twist):
+def override_file(tmp_path, weight, twist, rank=1):
     path = tmp_path / "ov.json"
     path.write_text(json.dumps([{
         "q_weight": list(weight), "twist": twist,
-        "source": {"p": 11, "q": 12}, "target": {"p": 9, "q": 11}, "rank": 1,
+        "source": {"p": 11, "q": 12}, "target": {"p": 9, "q": 11}, "rank": rank,
     }]))
     return str(path)
 
@@ -384,9 +415,27 @@ def test_unmatched_override_file_warns(capsys, tmp_path, argv):
     )
 
 
+def test_override_file_names_a_bundle_up_to_the_determinant(capsys, tmp_path):
+    # End(Sigma_(3,2,0,0) Q) holds Sigma_(5,5,2,0) Q (-3), also named ((6,6,3,1), -4)
+    plain = json.loads(run(capsys, "ext", "--lambda", "3,2,0,0")[1])["ext"]
+    answers = []
+    for weight, twist in [((6, 6, 3, 1), -4), ((5, 5, 2, 0), -3)]:
+        path = override_file(tmp_path, weight, twist, rank=220)
+        code = main(["ext", "--lambda", "3,2,0,0", "--overrides", path])
+        captured = capsys.readouterr()
+        assert "warning:" not in captured.err, weight
+        answers.append((code, json.loads(captured.out)["ext"]))
+    assert answers[0] == answers[1]
+    assert answers[0][1] != plain
+
+
 def test_matched_override_file_and_preset_are_silent(capsys, tmp_path):
     path = override_file(tmp_path, (5, 5, 2, 0), -3)
     assert main(["cohomology", "--lambda", "5,5,2,0", "--twist", "-3",
+                 "--overrides", path]) == 2
+    assert capsys.readouterr().err == ""
+    # the same bundle under its other name
+    assert main(["cohomology", "--lambda", "6,6,3,1", "--twist", "-4",
                  "--overrides", path]) == 2
     assert capsys.readouterr().err == ""
     # the preset matches none of the summands of Sym^18

@@ -23,8 +23,9 @@ def dominant_weights(length, lo=-6, hi=10):
 
 
 def test_canonicalize_examples():
-    assert canonicalize((3, 2, 1, 1)) == CanonicalQPartition(2, 1, 0, -1)
-    assert canonicalize((1, 1, 1, 0)) == CanonicalQPartition(1, 0, 0, -1)
+    assert canonicalize((3, 2, 1, 1)) == CanonicalQPartition(2, 1, 0, 1)
+    # Lambda^3 Q = Q^* tensor O(1)
+    assert canonicalize((1, 1, 1, 0)) == CanonicalQPartition(1, 0, 0, 1)
     assert canonicalize((5, 3, 2, 0)) == CanonicalQPartition(5, 3, 2, 0)
 
 
@@ -88,6 +89,16 @@ def test_canonicalize_idempotent_and_dim_preserving(w):
     assert (again.m, again.t, again.s) == (c.m, c.t, c.s)
     assert again.twist == 0
     assert weyl_dim(4, c.weight) == weyl_dim(4, w)
+
+
+@given(dominant_weights(4, lo=-3, hi=6))
+def test_canonicalize_twist_is_the_power_of_o1(lam):
+    # lam is the canonical weight, or its dual when canonicalising dualised,
+    # raised by the twist
+    c = canonicalize(lam)
+    w = tuple(x - lam[3] for x in lam)
+    base = dual(c.weight) if w[0] < w[1] + w[2] else c.weight
+    assert tuple(x + c.twist for x in base) == lam
 
 
 def test_parse_and_format():
