@@ -45,9 +45,7 @@ def _dump(obj) -> str:
 
 
 def _decomposition_json(terms) -> list[dict]:
-    return [
-        {"weight": list(w), "mult": m} for w, m in sorted(terms.items(), reverse=True)
-    ]
+    return [{"weight": w, "mult": m} for w, m in sorted(terms.items(), reverse=True)]
 
 
 def _cell(value, fmt: str) -> str:
@@ -84,12 +82,7 @@ def _values_json(values) -> list:
 
 def _conflicts_json(result: koszul.ChaseResult) -> list[dict]:
     return [
-        {
-            "source": list(c.source),
-            "target": list(c.target),
-            "page": c.page,
-            "cap": c.cap,
-        }
+        {"source": c.source, "target": c.target, "page": c.page, "cap": c.cap}
         for c in result.conflicts
     ]
 
@@ -97,17 +90,17 @@ def _conflicts_json(result: koszul.ChaseResult) -> list[dict]:
 def _ext_json(report: ext.ExtReport, with_summands: bool) -> dict:
     c = report.canonical
     out = {
-        "lambda": list(report.lam),
+        "lambda": report.lam,
         "canonical": {"m": c.m, "t": c.t, "s": c.s, "twist": c.twist},
         "ext": _values_json(report.ext),
         "exact": report.exact,
-        "bounded_degrees": list(report.bounded_degrees()),
+        "bounded_degrees": report.bounded_degrees(),
         "chi": report.chi_check,
     }
     if with_summands:
         out["summands"] = [
             {
-                "weight": list(s.q_weight),
+                "weight": s.q_weight,
                 "twist": s.twist,
                 "mult": s.multiplicity,
                 "values": _values_json(res.values),
@@ -212,7 +205,7 @@ def _cmd_bwb(args) -> int:
         print(_dump({
             "acyclic": False,
             "degree": res.degree,
-            "weight": list(res.gl10_weight),
+            "weight": res.gl10_weight,
             "dim": res.dim,
         }))
     return 0
@@ -248,7 +241,7 @@ def _cmd_cohomology(args) -> int:
     result = koszul.chase(page, overrides)
     _warn_unmatched(args, overrides, {normalize(lam, args.twist)})
     print(_dump({
-        "q_weight": list(lam),
+        "q_weight": lam,
         "twist": args.twist,
         "values": _values_json(result.values),
         "exact": result.exact,
@@ -256,7 +249,7 @@ def _cmd_cohomology(args) -> int:
         "euler": result.euler,
         "entries": [
             {"p": p, "q": q, "total_degree": q - p, "dim": dim,
-             "constituents": [{"weight": list(w), "mult": m}
+             "constituents": [{"weight": w, "mult": m}
                               for w, m in koszul.constituents(page, (p, q))]}
             for (p, q), dim in page.entries
         ],
@@ -310,13 +303,8 @@ def _cmd_table1(args) -> int:
     payload = {
         "rows": [_ext_json(r, False) for r in reports],
         "diff": [
-            {
-                "lambda": list(c.lam),
-                "column": c.column,
-                "computed": list(c.computed) if isinstance(c.computed, tuple) else c.computed,
-                "printed": c.printed,
-                "status": c.status,
-            }
+            {"lambda": c.lam, "column": c.column, "computed": c.computed,
+             "printed": c.printed, "status": c.status}
             for c in cells
         ],
         "unannotated_mismatches": len(bad),
@@ -332,7 +320,7 @@ def _cmd_chern(args) -> int:
     delta = ring.discriminant(lam)
     report = ring.atomicity_report(lam)
     print(_dump({
-        "lambda": list(lam),
+        "lambda": lam,
         "canonical": {"m": c.m, "t": c.t, "s": c.s, "twist": c.twist},
         "rank": int(ch.one),
         "ch": {
@@ -344,7 +332,7 @@ def _cmd_chern(args) -> int:
         },
         "delta_as_multiple_of_c2": _rational(ring.c2x_multiple(delta)),
         "xi_integral": _rational(ring.xi_end_integral(lam)),
-        "chi": ring.chi_endo(lam),
+        "chi": report.chi,
         "atomic": _atomic_json(report),
     }))
     return 0
@@ -352,7 +340,7 @@ def _cmd_chern(args) -> int:
 
 def _atomic_json(report: ring.AtomicityReport) -> dict:
     return {
-        "lambda": list(report.lam),
+        "lambda": report.lam,
         "rank": report.rank,
         "chi": report.chi,
         "ratio": _rational(report.ratio),

@@ -65,23 +65,15 @@ class OverrideError(ValueError):
     """An override is inconsistent with the page it is applied to."""
 
 
-@dataclass(frozen=True)
-class TwistedComplex:
-    """Koszul resolution twisted by Sigma_q_weight Q tensor O(twist): term p
-    is factor-table column p with every weight raised by -twist."""
-
-    q_weight: Weight
-    twist: int
-
-
-def build_complex(lam: Weight, d: int) -> TwistedComplex:
-    """Koszul resolution of Sigma_lam Q tensor O(-d) restricted to the fourfold.
+def build_complex(lam: Weight, d: int) -> tuple[Weight, int]:
+    """Koszul resolution of Sigma_lam Q tensor O(-d) on the fourfold: the pair
+    (lam validated, twist -d); term p is factor-table column p raised by d.
 
     ``d`` counts down twists, against every other twist in the package (the
     power of O(1), here ``-d``).  It stays while ``bench/child.py`` calls
     ``build_complex(q_weight, -twist)``; ROADMAP item D removes it.
     """
-    return TwistedComplex(check_dominant(lam, 4), -d)
+    return check_dominant(lam, 4), -d
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,7 @@ class E1Page:
     """The first page: the nonzero positions (p, q), sorted, with dimensions."""
 
     q_weight: Weight
-    twist: int  # the power of O(1), as in TwistedComplex
+    twist: int  # the power of O(1)
     entries: tuple[tuple[Position, int], ...]
 
     @property
@@ -97,15 +89,16 @@ class E1Page:
         return sum((-1) ** (q - p) * dim for (p, q), dim in self.entries)
 
 
-def e1_page(cx: TwistedComplex) -> E1Page:
+def e1_page(cx: tuple[Weight, int]) -> E1Page:
     """Apply Borel-Weil-Bott to every factor and sum the dimensions per position.
 
-    The rule of ``bwb.bott`` without its validation or memo (``build_complex``
-    validated ``q_weight``; factor weights are dominant by construction):
+    The rule of ``bwb.bott`` without its validation or memo on the pair
+    ``cx = (q_weight, twist)`` of ``build_complex``, which validated q_weight
+    (factor weights are dominant by construction):
     ``partitions.reflect`` of ``q_weight + (mu - twist)`` gives the degree q,
     or None (acyclic), and ``partitions.weyl_product`` the dimension.
     """
-    lam, t = cx.q_weight, cx.twist
+    lam, t = cx
     dims: dict[Position, int] = {}
     for p, column in enumerate(koszul_factor_table()):
         for mu, mult in column.items():
@@ -113,7 +106,7 @@ def e1_page(cx: TwistedComplex) -> E1Page:
             if r is not None:
                 pos = (p, r[0])
                 dims[pos] = dims.get(pos, 0) + mult * weyl_product(r[1])
-    return E1Page(lam, cx.twist, tuple(sorted(dims.items())))
+    return E1Page(lam, t, tuple(sorted(dims.items())))
 
 
 def constituents(page: E1Page, pos: Position) -> tuple[tuple[Weight, int], ...]:

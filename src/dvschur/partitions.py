@@ -152,10 +152,9 @@ def reflect(w) -> tuple[int, list[int]] | None:
 
 
 @cache
-def weyl_dim(n: int, w: Weight) -> int:
-    """Dimension of the irreducible GL(n) representation of highest weight w.
-
-    Exact product formula; invariant under w -> w + d and under dualisation.
+def weyl_dim(w: Weight) -> int:
+    """Dimension of the irreducible GL(n) representation of highest weight w
+    (n = len(w)): the Weyl product of ``reflect(w)``, for dominant w just w
+    plus the staircase.  Invariant under w -> w + d and under dualisation.
     """
-    w = check_dominant(w, n)
-    return weyl_product([x + n - 1 - i for i, x in enumerate(w)])
+    return weyl_product(reflect(check_dominant(w))[1])

@@ -16,24 +16,18 @@ weights of psi^k(V) added to every highest weight of the lower power.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
 from math import comb
 
 from .partitions import Weight, weyl_dim
-from .schur import Decomposition, klimyk_sum
+from .schur import Decomposition, klimyk_sum, weight_system
 
 WEDGE_RANK = 20
 
 
 def wedge3_weights() -> list[Weight]:
-    """The 20 weights of the third wedge of C^6, in lexicographic subset order."""
-    out = []
-    for triple in combinations(range(6), 3):
-        w = [0] * 6
-        for i in triple:
-            w[i] = 1
-        out.append(tuple(w))
-    return out
+    """The 20 weights of the third wedge of C^6, in lexicographic subset order
+    (the descending order of ``weight_system``)."""
+    return [w for w, _ in weight_system((1, 1, 1, 0, 0, 0))]
 
 
 @cache
@@ -64,7 +58,7 @@ def decompose_wedge_power(p: int) -> Decomposition:
             raise ArithmeticError(f"Newton sum not divisible by {p} at {nu}")
     if any(n < 0 for n in out.values()):
         raise ArithmeticError(f"negative multiplicity in wedge power {p}")
-    dim = sum(n * weyl_dim(6, w) for w, n in out.items())
+    dim = sum(n * weyl_dim(w) for w, n in out.items())
     if dim != comb(WEDGE_RANK, p):
         raise ArithmeticError(f"dimension mismatch in wedge power {p}: {dim}")
     return out

@@ -225,14 +225,6 @@ def verbitsky_projection(v: ExtendedMukaiVector) -> RingElement:
     return v.r * ONE + v.ell + deg4 + deg6 + deg8
 
 
-def sym_extended_vector(m: int) -> ExtendedMukaiVector:
-    """Extended Mukai vector certifying atomicity of the m-th symmetric power."""
-    r = Q(weyl_dim(4, (m, 0, 0, 0)))
-    return ExtendedMukaiVector(
-        r, Q(m, 4) * r * H, Q(2 * m * m - 3 * m + 5, 4) * r
-    )
-
-
 def extended_vector_candidate(lam: Weight) -> ExtendedMukaiVector | None:
     """The only extended vector whose projection could be the Mukai vector.
 
@@ -283,23 +275,19 @@ def atomicity_report(lam: Weight) -> AtomicityReport:
     """Atomicity test for Sigma_lam Q.
 
     Checks the rational-square necessary condition on chi(End)/(3 r^2) and
-    attempts the extended-Mukai-vector certificate; ``sym_certificate``
-    additionally records the explicit closed-form vector for symmetric
-    powers (canonical triples with t = s = 0).  Atomic holds exactly for
-    the symmetric powers: away from them either the square test or the
-    certificate fails.
+    looks for the extended-Mukai-vector certificate
+    (``extended_vector_candidate``); ``sym_certificate`` records whether it
+    was found for symmetric powers (canonical triples with t = s = 0) and is
+    None elsewhere.  Atomic holds exactly for the symmetric powers: away from
+    them either the square test or the certificate fails.
     """
     lam = check_dominant(lam, 4)
     c = canonicalize(lam)
-    r = weyl_dim(4, c.weight)
+    r = weyl_dim(c.weight)
     chi = chi_endo(lam)
     ratio = Q(chi, 3 * r * r)
     necessary = is_rational_square(ratio)
-    certificate = None
-    if c.t == 0 and c.s == 0:
-        projected = verbitsky_projection(sym_extended_vector(c.m))
-        certificate = projected == mukai_vector(c.weight)
-    atomic = necessary and extended_vector_candidate(c.weight) is not None
-    if certificate is not None:
-        atomic = atomic and certificate
+    found = extended_vector_candidate(c.weight) is not None
+    certificate = found if c.t == c.s == 0 else None
+    atomic = necessary and found
     return AtomicityReport(lam, c, r, chi, ratio, necessary, certificate, atomic)

@@ -60,7 +60,7 @@ def lr_coefficients(lam: Weight, mu: Weight, rank: int) -> Decomposition:
         raise ValueError(f"rank must be at least 1, got {rank}")
     lam = check_dominant(_pad(tuple(lam), rank))
     mu = check_dominant(_pad(tuple(mu), rank))
-    if weyl_dim(rank, mu) > weyl_dim(rank, lam):
+    if weyl_dim(mu) > weyl_dim(lam):
         lam, mu = mu, lam
     return klimyk_sum(
         ([a + b for a, b in zip(lam, w)], k) for w, k in weight_system(mu)
@@ -117,7 +117,7 @@ def weight_system(lam: Weight) -> tuple[tuple[Weight, int], ...]:
             w += last
             mults[w] = mults.get(w, 0) + k
     out = tuple(sorted(mults.items(), reverse=True))
-    if sum(mults.values()) != weyl_dim(n, lam):
+    if sum(mults.values()) != weyl_dim(lam):
         raise ArithmeticError(f"weight system of {lam} has the wrong size")
     return out
 

@@ -86,7 +86,7 @@ def test_acyclic_or_single_degree(seed, m):
     res = bott(lam, mu)
     if res is not None:
         assert 0 <= res.degree <= DIM_GR
-        assert res.dim == weyl_dim(10, res.gl10_weight) > 0
+        assert res.dim == weyl_dim(res.gl10_weight) > 0
 
 
 def test_sym_power_survivor_table():

@@ -61,6 +61,8 @@ def weight_multiplicities(p: int) -> dict[Weight, int]:
 
 def test_wedge3_weights():
     ws = wedge3_weights()
+    # the indicator vectors of the 3-subsets of {0..5}, in lexicographic order
+    assert ws == [tuple(int(i in t) for i in range(6)) for t in combinations(range(6), 3)]
     assert len(ws) == 20
     assert ws[0] == (1, 1, 1, 0, 0, 0)
     assert tuple(sum(col) for col in zip(*ws)) == (10,) * 6
@@ -72,13 +74,13 @@ def test_small_powers():
     assert decompose_wedge_power(1) == {(1, 1, 1, 0, 0, 0): 1}
     assert decompose_wedge_power(2) == {(2, 2, 1, 1, 0, 0): 1, (1, 1, 1, 1, 1, 1): 1}
     assert decompose_wedge_power(20) == {(10,) * 6: 1}
-    assert weyl_dim(6, (2, 2, 1, 1, 0, 0)) + 1 == comb(20, 2)
+    assert weyl_dim((2, 2, 1, 1, 0, 0)) + 1 == comb(20, 2)
 
 
 def test_dimension_sums():
     table = koszul_factor_table()
     for p, col in enumerate(table):
-        total = sum(n * weyl_dim(6, w) for w, n in col.items())
+        total = sum(n * weyl_dim(w) for w, n in col.items())
         assert total == comb(20, p), p
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dvschur.partitions import CanonicalQPartition, dual, weyl_dim
 from dvschur.ring import (
+    ExtendedMukaiVector,
     extended_vector_candidate,
     C2X,
     CH2,
@@ -27,7 +28,6 @@ from dvschur.ring import (
     integrate,
     is_rational_square,
     mukai_vector,
-    sym_extended_vector,
     verbitsky_projection,
     weight_system,
     xi_end_integral,
@@ -239,7 +239,7 @@ def test_ch_oracle_symmetric_powers():
 def test_weight_system_counts():
     for lam in [(2, 1, 0, 0), (3, 2, 1, 0), (1, 0, 0, -1)]:
         total = sum(mult for _, mult in weight_system(lam))
-        assert total == weyl_dim(4, lam)
+        assert total == weyl_dim(lam)
 
 
 def test_closed_matches_oracle():
@@ -358,8 +358,29 @@ def test_rational_square():
     assert not is_rational_square(Q(8, 9))
 
 
+def sym_extended_vector(m: int) -> ExtendedMukaiVector:
+    """The paper's closed-form extended Mukai vector of the m-th symmetric power,
+    the reference for ``extended_vector_candidate``, which certifies atomicity.
+
+    Checking m in SYM_DEGREES proves the closed form for every m.  The rank
+    r = (m+1)(m+2)(m+3)/6 has degree 3 in m.  Multiplied by r, every component
+    of ``verbitsky_projection`` of this vector is a polynomial in m of degree
+    at most 10 (the point class s^2/2, with s of degree 5, is the highest), and
+    so is every component of ``mukai_vector((m, 0, 0, 0))``: ch_k(Sym^m Q) is r
+    times a polynomial of degree k <= 4 (``ch_closed``) and SQRT_TODD is a
+    constant.  Two polynomials of degree <= 10 that agree at 11 points are equal.
+    """
+    r = Q(weyl_dim((m, 0, 0, 0)))
+    return ExtendedMukaiVector(
+        r, Q(m, 4) * r * H, Q(2 * m * m - 3 * m + 5, 4) * r
+    )
+
+
+SYM_DEGREES = range(13)  # at least 11 points: see sym_extended_vector
+
+
 def test_atomicity_symmetric_certificates():
-    for m in range(7):
+    for m in SYM_DEGREES:
         report = atomicity_report((m, 0, 0, 0))
         assert report.atomic and report.necessary_pass
         assert report.sym_certificate is True
@@ -393,7 +414,7 @@ def test_square_test_alone_is_not_sufficient():
 
 
 def test_candidate_matches_closed_form_for_sym_powers():
-    for m in range(7):
+    for m in SYM_DEGREES:
         assert extended_vector_candidate((m, 0, 0, 0)) == sym_extended_vector(m)
 
 
