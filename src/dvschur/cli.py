@@ -92,7 +92,7 @@ def _ext_json(report: ext.ExtReport, with_summands: bool) -> dict:
     out = {
         "lambda": report.lam,
         "canonical": {"m": c.m, "t": c.t, "s": c.s, "twist": c.twist},
-        "ext": _values_json(report.ext),
+        "ext": _values_json(report.values),
         "exact": report.exact,
         "bounded_degrees": report.bounded_degrees(),
         "chi": report.chi_check,
@@ -263,7 +263,7 @@ def _print_ext(reports, fmt: str, payload, diff_cells=None) -> None:
         print(_dump(payload))
         return
     header = ["lambda", "hom", "ext1", "ext2", "ext3", "ext4", "chi"]
-    rows = [[r.lam, *_values_json(r.ext), r.chi_check] for r in reports]
+    rows = [[r.lam, *_values_json(r.values), r.chi_check] for r in reports]
     if fmt == "csv":
         header.append("exact")
         rows = [[*row, r.exact] for row, r in zip(rows, reports)]
@@ -316,7 +316,7 @@ def _cmd_table1(args) -> int:
 def _cmd_chern(args) -> int:
     lam = parse_weight(args.lam, 4)
     c = canonicalize(lam)
-    ch = ring.ch_oracle(c.weight)
+    ch = ring.ch_oracle(lam)
     delta = ring.discriminant(lam)
     report = ring.atomicity_report(lam)
     print(_dump({

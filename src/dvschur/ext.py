@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .koszul import ChaseResult, chase_summand, serre_partner
+from .koszul import ChaseResult, Cohomology, chase_summand, serre_partner
 from .partitions import CanonicalQPartition, Weight, canonicalize, check_dominant
 from .ring import chi_endo
 from .schur import EndSummand, end_decomposition
@@ -24,30 +24,13 @@ TABLE1_ROWS: tuple[Weight, ...] = tuple(
 
 
 @dataclass(frozen=True)
-class ExtReport:
-    """Ext dimensions in degrees 0..4, exact where lo == hi."""
+class ExtReport(Cohomology):
+    """Ext dimensions in degrees 0..4: the summands' values with multiplicity."""
 
     lam: Weight
     canonical: CanonicalQPartition
-    ext: tuple[tuple[int, int], ...]
     summands: tuple[tuple[EndSummand, ChaseResult], ...]
     chi_check: int
-
-    @property
-    def exact(self) -> bool:
-        return all(lo == hi for lo, hi in self.ext)
-
-    def dims(self) -> tuple[int, ...]:
-        if not self.exact:
-            raise ValueError(f"Ext groups of {self.lam} are indeterminate")
-        return tuple(lo for lo, _ in self.ext)
-
-    def bounded_degrees(self) -> tuple[int, ...]:
-        return tuple(n for n, (lo, hi) in enumerate(self.ext) if lo != hi)
-
-    def value(self, n: int):
-        lo, hi = self.ext[n]
-        return lo if lo == hi else (lo, hi)
 
     def conflicts(self):
         return [(s.normalized(), c) for s, res in self.summands for c in res.conflicts]
@@ -65,7 +48,7 @@ def ext_groups(lam: Weight, overrides=()) -> ExtReport:
     c = canonicalize(lam)
     overrides = tuple(overrides)
     named = {(ov.q_weight, ov.twist) for ov in overrides}
-    ext = [[0, 0] for _ in range(5)]
+    values = [[0, 0] for _ in range(5)]
     pairs = []
     for summand in end_decomposition(c):
         key = summand.normalized()
@@ -77,11 +60,9 @@ def ext_groups(lam: Weight, overrides=()) -> ExtReport:
         pairs.append((summand, res))
         for n in range(5):
             lo, hi = res.values[n]
-            ext[n][0] += summand.multiplicity * lo
-            ext[n][1] += summand.multiplicity * hi
-    return ExtReport(
-        lam, c, tuple((lo, hi) for lo, hi in ext), tuple(pairs), chi_endo(lam)
-    )
+            values[n][0] += summand.multiplicity * lo
+            values[n][1] += summand.multiplicity * hi
+    return ExtReport(tuple(map(tuple, values)), lam, c, tuple(pairs), chi_endo(lam))
 
 
 def reproduce_table1(overrides=()) -> list[ExtReport]:

@@ -130,29 +130,38 @@ class Conflict:
 
 
 @dataclass(frozen=True)
-class ChaseResult:
-    """Cohomology of the restricted bundle in degrees 0..4.
-
-    ``values[n]`` is an exact dimension when lo == hi, otherwise a sound
-    (possibly loose) interval obtained by letting every unresolved rank vary
-    independently over [0, cap].
-    """
+class Cohomology:
+    """Dimensions in degrees 0..4: ``values[n] = (lo, hi)``, a single value
+    when lo == hi, else a sound interval.  Exact means every degree is a
+    single value, whatever conflicts a page listed on the way."""
 
     values: tuple[tuple[int, int], ...]
-    conflicts: tuple[Conflict, ...]
-    euler: int
 
     @property
     def exact(self) -> bool:
-        return not self.conflicts
-
-    def dims(self) -> tuple[int, ...]:
-        if not self.exact:
-            raise ValueError("chase is indeterminate")
-        return tuple(lo for lo, _ in self.values)
+        return not self.bounded_degrees()
 
     def bounded_degrees(self) -> tuple[int, ...]:
         return tuple(n for n, (lo, hi) in enumerate(self.values) if lo != hi)
+
+    def value(self, n: int):
+        """The dimension in degree n, or its interval (lo, hi)."""
+        lo, hi = self.values[n]
+        return lo if lo == hi else (lo, hi)
+
+    def dims(self) -> tuple[int, ...]:
+        if not self.exact:
+            raise ValueError(f"degrees {list(self.bounded_degrees())} are bounded, not exact")
+        return tuple(lo for lo, _ in self.values)
+
+
+@dataclass(frozen=True)
+class ChaseResult(Cohomology):
+    """The chase of one summand: each unresolved rank varies independently
+    over [0, cap] of its conflict, which makes the intervals sound."""
+
+    conflicts: tuple[Conflict, ...]
+    euler: int
 
     def serre_dual(self) -> ChaseResult:
         """The override-free chase of this summand's ``serre_partner``, exactly.
@@ -309,24 +318,19 @@ def _overrides_from_json(items) -> tuple[RankOverride, ...]:
 PRESETS = {"paper-4.2": "overrides_paper42.json"}
 
 
-@cache
-def get_preset(name: str) -> tuple[RankOverride, ...]:
-    if name not in PRESETS:
-        raise ValueError(f"unknown override preset: {name!r}")
-    text = resources.files("dvschur.data").joinpath(PRESETS[name]).read_text()
-    return _overrides_from_json(json.loads(text)["overrides"])
-
-
 def load_overrides(source: str) -> tuple[RankOverride, ...]:
-    """Resolve a preset name or a JSON file path to an override tuple.
+    """Resolve a preset name or a JSON file path to an override tuple; a
+    preset reads its data file where a path would be opened.
 
     A path that cannot be read raises ValueError with the OS reason and the
     preset names; a file that is not JSON raises OverrideError naming it.
     """
-    if source in PRESETS:
-        return get_preset(source)
     try:
-        with open(source) as fh:
+        if source in PRESETS:
+            file = resources.files("dvschur.data").joinpath(PRESETS[source]).open()
+        else:
+            file = open(source)
+        with file as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ValueError(

@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from dvschur.koszul import get_preset
+from dvschur.koszul import load_overrides
 
 
 @pytest.fixture(scope="session")
 def preset():
-    return get_preset("paper-4.2")
+    return load_overrides("paper-4.2")
 
 
 def schur_value(lam, xs) -> Fraction:

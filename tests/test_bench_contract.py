@@ -15,7 +15,7 @@ import sys
 import time
 
 from dvschur.ext import ext_groups
-from dvschur.koszul import chase_summand, get_preset
+from dvschur.koszul import chase_summand, load_overrides
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 # (a, b, c, twist) for q_weight (a,b,c,0); the first is the paper-4.2 summand
@@ -40,7 +40,7 @@ def traced_sample(workload, summands=()):
 
 def test_traced_sample_matches_chase_summand():
     out = traced_sample("summand-sweep", SUMMANDS)
-    preset = get_preset("paper-4.2")
+    preset = load_overrides("paper-4.2")
     want = {}
     for a, b, c, twist in SUMMANDS:
         res = chase_summand((a, b, c, 0), twist, preset)
@@ -57,9 +57,9 @@ def test_traced_sample_matches_chase_summand():
 
 def test_traced_ext_large_matches_ext_groups():
     out = traced_sample("ext-large")
-    report = ext_groups((8, 4, 2, 0), get_preset("paper-4.2"))
+    report = ext_groups((8, 4, 2, 0), load_overrides("paper-4.2"))
     answer = out["answers"]["lambda=8,4,2,0"]
-    assert answer["values"] == [[lo, hi] for lo, hi in report.ext]
+    assert answer["values"] == [[lo, hi] for lo, hi in report.values]
     assert answer["chi"] == report.chi_check
     assert "schur.end_decomposition" in out["layers"]
     assert out["counters"]["ring.oracle_weights"] > 0

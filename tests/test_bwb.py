@@ -1,7 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from dvschur.bwb import DIM_GR, bott
 from dvschur.partitions import dual, weyl_dim
@@ -78,15 +77,15 @@ def test_serre_duality_sample():
     assert checked > 50
 
 
-@given(st.integers(0, 20), st.integers(0, 3))
-def test_acyclic_or_single_degree(seed, m):
-    rng = random.Random(seed)
-    lam = sample_dominant(rng, 4, 0, 6)
-    mu = sample_dominant(rng, 6, 0, 10)
-    res = bott(lam, mu)
-    if res is not None:
-        assert 0 <= res.degree <= DIM_GR
-        assert res.dim == weyl_dim(res.gl10_weight) > 0
+def test_acyclic_or_single_degree():
+    for seed in range(21):
+        rng = random.Random(seed)
+        lam = sample_dominant(rng, 4, 0, 6)
+        mu = sample_dominant(rng, 6, 0, 10)
+        res = bott(lam, mu)
+        if res is not None:
+            assert 0 <= res.degree <= DIM_GR, seed
+            assert res.dim == weyl_dim(res.gl10_weight) > 0, seed
 
 
 def test_sym_power_survivor_table():

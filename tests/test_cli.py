@@ -5,10 +5,12 @@ import pathlib
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from dvschur.cli import build_parser, main
+from dvschur.ring import ch_oracle
 
 
 def run(capsys, *argv):
@@ -293,6 +295,22 @@ def test_chern_json(capsys):
     assert payload["delta_as_multiple_of_c2"] == 1
     assert payload["chi"] == 3
     assert payload["atomic"]["atomic"] is True
+
+
+@pytest.mark.parametrize("lam", [(1, 1, 1, 0), (2, 2, 2, 1), (-1, -1, -1, -1)])
+def test_chern_of_input_not_of_canonical_form(capsys, lam):
+    # Lambda^3 Q = Q^*(1): canonicalising moves the twist, but ch is the input's
+    code, out = run(capsys, "chern", "--lambda=" + ",".join(map(str, lam)))
+    assert code == 0
+    payload = json.loads(out)
+    ch = {key: Fraction(str(v)) for key, v in [
+        ("one", payload["ch"]["0"]), ("h", payload["ch"]["2"]["h"]),
+        ("h2", payload["ch"]["4"]["h2"]), ("ch2", payload["ch"]["4"]["ch2"]),
+        ("ch3", payload["ch"]["6"]["ch3"]), ("pt", payload["ch"]["8"]["pt"]),
+    ]}
+    want = ch_oracle(lam)
+    assert ch == {key: getattr(want, key) for key in ch}
+    assert ch["h"] == Fraction(sum(lam) * payload["rank"], 4)
 
 
 def test_atomic_json(capsys):

@@ -130,6 +130,15 @@ def test_indeterminate_rows(preset):
         assert report.conflicts(), lam
 
 
+def test_report_is_exact_iff_every_summand_is(preset):
+    # one exactness rule for both levels: a row is a sum of its summands
+    seen = set()
+    for report in reproduce_table1(preset):
+        assert report.exact == all(res.exact for _, res in report.summands), report.lam
+        seen.add(report.exact)
+    assert seen == {True, False}
+
+
 def test_hom_bounded_exactly_on_blank_rows(preset):
     reference = table1_reference()
     for lam in TABLE1_ROWS:
@@ -166,8 +175,8 @@ def test_annotated_cell_with_wrong_value_is_mismatch(preset):
     (cell,) = [c for c in diff_against_paper([report]) if c.column == "ext2"]
     assert cell.status == "annotated"
     for wrong in [(21419, 21419), (23770, 23770), (21419, 23771)]:
-        ext = report.ext[:2] + (wrong,) + report.ext[3:]
-        bad = replace(report, ext=ext)
+        values = report.values[:2] + (wrong,) + report.values[3:]
+        bad = replace(report, values=values)
         cells = diff_against_paper([bad])
         (cell,) = [c for c in cells if c.column == "ext2"]
         assert cell.status == "mismatch", wrong
@@ -179,8 +188,8 @@ def test_euler_of_bounded_report_is_satisfiable(preset):
     # which is one consistent assignment; its alternating sum over 0..4
     # differs from chi only by entries outside the window
     report = ext_groups((3, 3, 0, 0), preset)
-    lo = sum((-1) ** n * report.ext[n][0] for n in range(5))
-    hi = sum((-1) ** n * report.ext[n][1] for n in range(5))
+    lo = sum((-1) ** n * report.values[n][0] for n in range(5))
+    hi = sum((-1) ** n * report.values[n][1] for n in range(5))
     assert min(lo, hi) <= report.chi_check <= max(lo, hi)
 
 
@@ -200,7 +209,7 @@ def direct_ext(lam, overrides):
 def assert_matches_direct(lam, overrides):
     report = ext_groups(lam, overrides)
     ext, results = direct_ext(lam, overrides)
-    assert report.ext == ext, lam
+    assert report.values == ext, lam
     assert len(report.summands) == len(results), lam
     for (summand, res), want in zip(report.summands, results):
         assert res.values == want.values, (lam, summand)

@@ -12,7 +12,6 @@ from dvschur.koszul import (
     chase_summand,
     constituents,
     e1_page,
-    get_preset,
     load_overrides,
     serre_partner,
 )
@@ -100,6 +99,19 @@ def test_chase_without_override_is_bounded():
     assert res.values[1] == (0, 220)
 
 
+def test_value_reads_intervals_exactly_on_bounded_degrees(preset):
+    bounded = chase_summand((5, 5, 2, 0), -3)
+    assert bounded.bounded_degrees()
+    for n, (lo, hi) in enumerate(bounded.values):
+        want = (lo, hi) if n in bounded.bounded_degrees() else lo
+        assert bounded.value(n) == want, n
+    with pytest.raises(ValueError, match="bounded"):
+        bounded.dims()
+    exact = chase_summand((5, 5, 2, 0), -3, preset)
+    assert exact.exact
+    assert [exact.value(n) for n in range(5)] == list(exact.dims())
+
+
 def test_sym5_summand_indeterminate():
     res = chase_summand((10, 5, 5, 0), -5)
     assert not res.exact
@@ -164,11 +176,11 @@ def test_overrides_for_other_bundles_are_ignored(preset):
 
 
 def test_preset_loading(tmp_path):
-    preset = get_preset("paper-4.2")
+    preset = load_overrides("paper-4.2")
     assert len(preset) == 12
     assert load_overrides("paper-4.2") == preset
     with pytest.raises(ValueError):
-        get_preset("nonsense")
+        load_overrides("nonsense")
     with pytest.raises(ValueError):
         load_overrides("no-such-preset")
     path = tmp_path / "ov.json"

@@ -169,7 +169,8 @@ def test_shift_identity_against_direct_computation():
 
 
 def test_columns_in_descending_weight_order():
-    # koszul.build_complex shifts each column without re-sorting it
+    # koszul.constituents lists an entry's pieces in column order, so the
+    # order of the cohomology JSON's constituents relies on it
     table = koszul_factor_table()
     for p, col in enumerate(table):
         weights = list(col)
