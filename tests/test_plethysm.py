@@ -1,20 +1,73 @@
+import os
+import subprocess
+import sys
 from functools import cache
 from itertools import combinations, permutations
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
 from dvschur import plethysm
 from dvschur.partitions import Weight, is_dominant, weyl_dim
-from dvschur.plethysm import (
-    WEDGE_RANK,
-    decompose_wedge_power,
-    koszul_factor_table,
-    wedge3_weights,
-)
+from dvschur.plethysm import WEDGE_RANK, koszul_factor_table
 from dvschur.reference import koszul_mismatches, koszul_reference
-from dvschur.schur import klimyk_sum
+from dvschur.schur import Decomposition, klimyk_sum, weight_system
 from test_schur import strip_kostka
+
+
+# The derivation of the shipped factor table.  The third wedge V of C^6 has
+# the indicator vectors e_T of the 3-element subsets T of {1..6} as weights.
+# Its exterior powers follow from Newton's identity (Macdonald, Symmetric
+# Functions and Hall Polynomials, I.2),
+#
+#     p * Lambda^p V = sum_{k=1..p} (-1)^(k-1) psi^k(V) * Lambda^(p-k) V,
+#
+# where the Adams power psi^k(V) is the virtual character with the 20 weights
+# k * e_T, each of multiplicity 1.  Each product is Klimyk's formula
+# (``schur.klimyk_sum``, the sum Littlewood-Richardson products use): the 20
+# weights of psi^k(V) added to every highest weight of the lower power.
+
+
+def wedge3_weights() -> list[Weight]:
+    """The 20 weights of the third wedge of C^6, in lexicographic subset order
+    (the descending order of ``weight_system``)."""
+    return [w for w, _ in weight_system((1, 1, 1, 0, 0, 0))]
+
+
+@cache
+def decompose_wedge_power(p: int) -> Decomposition:
+    """Exact irreducible GL(6) decomposition of the p-th exterior power.
+
+    Newton's identity over the lower powers, each product one Klimyk sum;
+    the signed total must divide exactly by p.  The weights are returned in
+    descending order.
+    """
+    if not 0 <= p <= WEDGE_RANK:
+        raise ValueError(f"exterior power degree out of range: {p}")
+    if p == 0:
+        return {(0,) * 6: 1}
+    weights = wedge3_weights()
+    terms = []
+    for k in range(1, p + 1):
+        sign = 1 if k % 2 else -1
+        adams = [tuple(k * x for x in w) for w in weights]
+        for lam, n in decompose_wedge_power(p - k).items():
+            n *= sign
+            for w in adams:
+                terms.append(([a + b for a, b in zip(lam, w)], n))
+    out = {}
+    for nu, n in sorted(klimyk_sum(terms).items(), reverse=True):
+        out[nu], rem = divmod(n, p)
+        if rem:
+            raise ArithmeticError(f"Newton sum not divisible by {p} at {nu}")
+    if any(n < 0 for n in out.values()):
+        raise ArithmeticError(f"negative multiplicity in wedge power {p}")
+    dim = sum(n * weyl_dim(w) for w, n in out.items())
+    if dim != comb(WEDGE_RANK, p):
+        raise ArithmeticError(f"dimension mismatch in wedge power {p}: {dim}")
+    return out
+
 
 # The weight-multiplicity oracle: a knapsack over the 20 weights, which
 # Brauer's formula turns into the decompositions that the Newton recursion in
@@ -209,8 +262,7 @@ def test_newton_matches_brauer():
 
 
 def clear_wedge_caches():
-    plethysm.decompose_wedge_power.cache_clear()
-    plethysm.koszul_factor_table.cache_clear()
+    decompose_wedge_power.cache_clear()
 
 
 def replaced(i, j):
@@ -229,17 +281,63 @@ def replaced(i, j):
 ], ids=["dropped", "repeated", "replaced-indivisible", "replaced-negative"])
 def test_doctored_weights_raise(monkeypatch, edit, message):
     # a weight list that is not the 20 weights of the third wedge must trip
-    # a guard rather than return a column
+    # a guard of the Newton recursion rather than return a column
     doctored = edit(wedge3_weights())
     clear_wedge_caches()
-    monkeypatch.setattr(plethysm, "wedge3_weights", lambda: list(doctored))
+    monkeypatch.setitem(globals(), "wedge3_weights", lambda: list(doctored))
     try:
         with pytest.raises(ArithmeticError, match=message):
-            koszul_factor_table()
+            for p in range(WEDGE_RANK // 2 + 1):
+                decompose_wedge_power(p)
     finally:
         monkeypatch.undo()
         clear_wedge_caches()
     assert decompose_wedge_power(1) == {(1, 1, 1, 0, 0, 0): 1}
+
+
+def test_shipped_table_is_newton():
+    # the data file holds exactly what the Newton recursion derives, in the
+    # same order, and the shift identity rebuilds the columns above 10
+    table = koszul_factor_table()
+    assert len(table) == WEDGE_RANK + 1
+    for p in range(WEDGE_RANK + 1):
+        want = decompose_wedge_power(p)
+        assert list(table[p].items()) == list(want.items()), p
+
+
+def test_doctored_shipped_column_raises(monkeypatch):
+    # a shipped column that lost a weight must fail the dimension guard
+    # rather than enter the table
+    columns = plethysm.shipped_columns()
+    del columns[5][-1]
+    plethysm.koszul_factor_table.cache_clear()
+    monkeypatch.setattr(plethysm, "shipped_columns", lambda: columns)
+    try:
+        with pytest.raises(ArithmeticError, match="dimension mismatch in wedge power 5:"):
+            koszul_factor_table()
+    finally:
+        monkeypatch.undo()
+        plethysm.koszul_factor_table.cache_clear()
+    assert len(koszul_factor_table()[5]) == 6
+
+
+def test_cold_table_does_no_klimyk_sum():
+    # the table is read, not derived: a cold process builds it with Klimyk's
+    # formula refused (patched before plethysm is imported, so it holds for
+    # either import style); in-process the wedge caches could hide a sum
+    code = (
+        "from dvschur import schur\n"
+        "def refuse(terms):\n"
+        "    raise AssertionError('klimyk_sum called for the factor table')\n"
+        "schur.klimyk_sum = refuse\n"
+        "from dvschur.plethysm import koszul_factor_table\n"
+        "assert sum(len(col) for col in koszul_factor_table()) == 156\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(plethysm.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_brauer_matches_greedy_split():
