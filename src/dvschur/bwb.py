@@ -15,16 +15,15 @@ the factor table, since the first page needs only degrees and dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
-from .partitions import Weight, check_dominant, reflect, weyl_product
+from .partitions import Weight, check_dominant, record, reflect, weyl_product
 
 RHO = (9, 8, 7, 6, 5, 4, 3, 2, 1, 0)
 DIM_GR = 24
 
 
-@dataclass(frozen=True)
+@record
 class BottCohomology:
     degree: int
     gl10_weight: Weight

@@ -8,10 +8,8 @@ degrees interval-valued.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .koszul import ChaseResult, Cohomology, chase_summand, serre_partner
-from .partitions import CanonicalQPartition, Weight, canonicalize, check_dominant
+from .partitions import CanonicalQPartition, Weight, canonicalize, check_dominant, record
 from .ring import chi_endo
 from .schur import EndSummand, end_decomposition
 
@@ -23,7 +21,7 @@ TABLE1_ROWS: tuple[Weight, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
+@record
 class ExtReport(Cohomology):
     """Ext dimensions in degrees 0..4: the summands' values with multiplicity."""
 

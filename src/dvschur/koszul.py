@@ -16,20 +16,18 @@ conflicts unless an externally justified override supplies the rank.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
-from importlib import resources
 
 from .bwb import DIM_GR, bott
-from .partitions import Weight, check_dominant, is_dominant, normalize, reflect
-from .partitions import shifted_dual, weyl_product
+from .partitions import Weight, check_dominant, is_dominant, normalize, open_data, record
+from .partitions import reflect, shifted_dual, weyl_product
 from .plethysm import WEDGE_RANK, koszul_factor_table
 
 Position = tuple[int, int]
 MAX_DEGREE = 4
 
 
-@dataclass(frozen=True)
+@record
 class RankOverride:
     """Externally asserted rank of one potential differential.
 
@@ -76,7 +74,7 @@ def build_complex(lam: Weight, d: int) -> tuple[Weight, int]:
     return check_dominant(lam, 4), -d
 
 
-@dataclass(frozen=True)
+@record
 class E1Page:
     """The first page: the nonzero positions (p, q), sorted, with dimensions."""
 
@@ -121,7 +119,7 @@ def constituents(page: E1Page, pos: Position) -> tuple[tuple[Weight, int], ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class Conflict:
     source: Position
     target: Position
@@ -129,7 +127,7 @@ class Conflict:
     cap: int
 
 
-@dataclass(frozen=True)
+@record
 class Cohomology:
     """Dimensions in degrees 0..4: ``values[n] = (lo, hi)``, a single value
     when lo == hi, else a sound interval.  Exact means every degree is a
@@ -155,7 +153,7 @@ class Cohomology:
         return tuple(lo for lo, _ in self.values)
 
 
-@dataclass(frozen=True)
+@record
 class ChaseResult(Cohomology):
     """The chase of one summand: each unresolved rank varies independently
     over [0, cap] of its conflict, which makes the intervals sound."""
@@ -326,10 +324,8 @@ def load_overrides(source: str) -> tuple[RankOverride, ...]:
     preset names; a file that is not JSON raises OverrideError naming it.
     """
     try:
-        if source in PRESETS:
-            file = resources.files("dvschur.data").joinpath(PRESETS[source]).open()
-        else:
-            file = open(source)
+        preset = PRESETS.get(source)
+        file = open_data(preset) if preset else open(source, encoding="utf-8")
         with file as fh:
             data = json.load(fh)
     except OSError as exc:

@@ -1,4 +1,6 @@
-"""Dominant GL(n) weights: parsing, duality, canonical forms, Weyl dimensions.
+"""Dominant GL(n) weights: parsing, duality, canonical forms, Weyl dimensions;
+also the package's value-type decorator ``record`` and data reader
+``open_data``, which keep ``dataclasses`` and ``importlib.resources`` out.
 
 A weight is a weakly decreasing tuple of integers (negative entries allowed).
 Length 4 indexes Schur functors of the rank-4 quotient bundle, length 6 the
@@ -8,10 +10,39 @@ Borel-Weil-Bott.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
 from functools import cache
 
 Weight = tuple[int, ...]
+
+
+def open_data(name: str):
+    """The package's data file ``data/<name>``, opened as UTF-8 text."""
+    return open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8")
+
+
+def record(cls):
+    """A frozen dataclass without importing ``dataclasses``: a record base's
+    fields come first, a class attribute is its field's default,
+    ``__post_init__`` ends ``__init__``, instances of one class with equal
+    fields are equal and hash alike, and the repr is ``Name(f=v, ...)``."""
+    fields = getattr(cls, "_fields", ()) + tuple(cls.__dict__.get("__annotations__", ()))
+    args = ", ".join(f"{f}=cls.{f}" if hasattr(cls, f) else f for f in fields)
+    sets = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
+    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    own, other = (", ".join(f"{x}.{f}" for f in fields) for x in ("self", "other"))
+    shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
+    methods = {"_fields": fields}
+    exec(f"""def __init__(self, {args}):{sets}{post}
+def __eq__(self, other):
+    return ({own},) == ({other},) if other.__class__ is self.__class__ else NotImplemented
+def __hash__(self): return hash(({own},))
+def __repr__(self): return f'{{self.__class__.__qualname__}}({shown})'
+def __setattr__(self, name, *value): raise AttributeError(f'cannot assign to field {{name!r}}')
+__delattr__ = __setattr__""", {"cls": cls, "_set": object.__setattr__}, methods)
+    for name, value in methods.items():
+        setattr(cls, name, value)
+    return cls
 
 
 def is_dominant(w: Weight) -> bool:
@@ -67,7 +98,7 @@ def shifted_dual(w: Weight) -> Weight:
     return tuple(top - x for x in reversed(w))
 
 
-@dataclass(frozen=True)
+@record
 class CanonicalQPartition:
     """Normal form (m,t,s,0) with m >= t+s for a length-4 weight.
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 from functools import cache
-from importlib import resources
 from math import comb
 
-from .partitions import weyl_dim
+from .partitions import open_data, weyl_dim
 from .schur import Decomposition
 
 WEDGE_RANK = 20
@@ -22,8 +21,7 @@ WEDGE_RANK = 20
 
 def shipped_columns() -> list:
     """Columns 0..10 as the data file lists them: [weight, mult] pairs."""
-    path = resources.files("dvschur.data").joinpath("koszul_factor_table.json")
-    with path.open() as fh:
+    with open_data("koszul_factor_table.json") as fh:
         return json.load(fh)["columns"]
 
 

@@ -10,20 +10,18 @@ rather than as a mismatch, and any other value in that cell is a mismatch.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
-from importlib import resources
 
 from .ext import ExtReport
-from .partitions import Weight
+from .partitions import Weight, open_data, record
 
 COLUMNS = ("hom", "ext1", "ext2")
 
 
 @cache
 def _tables() -> dict:
-    text = resources.files("dvschur.data").joinpath("reference_tables.json").read_text()
-    return json.loads(text)
+    with open_data("reference_tables.json") as fh:
+        return json.load(fh)
 
 
 def table1_reference() -> dict[Weight, dict[str, int | None]]:
@@ -53,7 +51,7 @@ def koszul_reference() -> tuple[frozenset[Weight], ...]:
     )
 
 
-@dataclass(frozen=True)
+@record
 class DiffCell:
     lam: Weight
     column: str

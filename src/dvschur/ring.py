@@ -23,7 +23,6 @@ per-summand sum over the split is kept as a test (``tests/test_ring.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, isqrt, prod
@@ -33,6 +32,7 @@ from .partitions import (
     Weight,
     canonicalize,
     check_dominant,
+    record,
     weyl_dim,
 )
 from .schur import weight_system
@@ -40,7 +40,7 @@ from .schur import weight_system
 Q = Fraction
 
 
-@dataclass(frozen=True)
+@record
 class RingElement:
     """A class in the 6-dimensional subring, coefficients over the fixed basis."""
 
@@ -200,7 +200,7 @@ def mukai_vector(lam: Weight) -> RingElement:
     return ch_oracle(check_dominant(lam, 4)) * SQRT_TODD
 
 
-@dataclass(frozen=True)
+@record
 class ExtendedMukaiVector:
     """(r, ell, s) with ell a degree-2 class; q(v) = q(ell) - 2 r s."""
 
@@ -259,7 +259,7 @@ def is_rational_square(x: Fraction) -> bool:
     return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
 
 
-@dataclass(frozen=True)
+@record
 class AtomicityReport:
     lam: Weight
     canonical: CanonicalQPartition

@@ -15,7 +15,6 @@ All functions are pure; their memo caches are shared across calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
@@ -24,6 +23,7 @@ from .partitions import (
     Weight,
     check_dominant,
     normalize,
+    record,
     reflect,
     shifted_dual,
     weyl_dim,
@@ -32,7 +32,7 @@ from .partitions import (
 Decomposition = dict[Weight, int]
 
 
-@dataclass(frozen=True)
+@record
 class EndSummand:
     """One irreducible piece of End(Sigma_lambda Q), as Sigma_nu Q tensor O(twist)."""
 

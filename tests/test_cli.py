@@ -407,6 +407,32 @@ def test_closed_pipe_exits_one_quietly():
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
+@pytest.mark.parametrize("note, code, err", [
+    ("\u2013".encode(), 2, None),  # an en dash, valid UTF-8: the file loads
+    (b"\xff", 1, "not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+], ids=["utf-8", "not-utf-8"])
+def test_override_file_is_utf8_in_an_ascii_locale(tmp_path, note, code, err):
+    # the C locale without UTF-8 mode makes ASCII the default text encoding
+    path = tmp_path / "ov.json"
+    path.write_bytes(json.dumps([{
+        "q_weight": [5, 5, 2, 0], "twist": -3, "source": {"p": 11, "q": 12},
+        "target": {"p": 9, "q": 11}, "rank": 1, "note": "NOTE",
+    }]).encode().replace(b"NOTE", note))
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), LC_ALL="C",
+               PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "dvschur.cli", "cohomology", "--lambda", "5,5,2,0",
+         "--twist", "-3", "--overrides", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == code, proc.stderr
+    if err:
+        assert proc.stderr.startswith(f"error: {path}: {err}"), proc.stderr
+    else:
+        assert proc.stderr == ""
+
+
 def override_file(tmp_path, weight, twist, rank=1):
     path = tmp_path / "ov.json"
     path.write_text(json.dumps([{

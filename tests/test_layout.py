@@ -8,10 +8,16 @@ a module (``m._x``, ``dvschur.m._x``).  Tests are exempt.
 
 Standard output carries only the report, and ``cli.py`` renders it: no other
 module in ``src/dvschur/`` may call ``print`` or reach ``sys.stdout``.
+
+A cold start imports only what the CLI runs: neither ``dataclasses`` (which
+pulls in ``inspect``) nor ``importlib.resources``.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dvschur"
@@ -137,3 +143,23 @@ def test_only_cli_writes_stdout():
         if path.name != "cli.py" and (uses := stdout_uses(path.read_text()))
     }
     assert violations == {}
+
+
+def test_cold_start_imports_neither_dataclasses_nor_importlib_resources():
+    # -S skips site, so no .pth file can have loaded either module first;
+    # the set-up reads all three data files
+    code = (
+        "import sys\n"
+        "import dvschur.cli\n"
+        "from dvschur import koszul, plethysm, reference\n"
+        "plethysm.koszul_factor_table()\n"
+        "koszul.load_overrides('paper-4.2')\n"
+        "reference.table1_reference()\n"
+        "loaded = {'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr

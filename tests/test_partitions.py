@@ -1,8 +1,13 @@
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from dvschur.bwb import BottCohomology
+from dvschur.ext import ExtReport
+from dvschur.koszul import ChaseResult, Cohomology, Conflict, E1Page, RankOverride
+from dvschur.koszul import chase_summand
 from dvschur.partitions import (
     CanonicalQPartition,
     canonicalize,
@@ -13,6 +18,9 @@ from dvschur.partitions import (
     shifted_dual,
     weyl_dim,
 )
+from dvschur.reference import DiffCell
+from dvschur.ring import AtomicityReport, ExtendedMukaiVector, RingElement
+from dvschur.schur import EndSummand
 
 
 def dominant_weights(length, lo=-6, hi=10):
@@ -139,3 +147,87 @@ def test_reflect_examples():
     assert reflect((1, 2, 3, 4)) is None  # (4,4,4,4)
     assert reflect((-3, -1, 1, 3)) == (6, [3, 2, 1, 0])  # the longest element
     assert reflect((-1, 0, 0, 0)) is None
+
+
+# ---------------------------------------------------------------------------
+# ``record``: every value type of the package, built twice from equal fields
+
+
+EXACT = ((1, 1),) * 5
+RECORDS = [
+    (CanonicalQPartition, (2, 1, 0, 3)),
+    (BottCohomology, (1, (2, 1, 0, 0, 0, 0, 0, 0, 0, -1), 44)),
+    (EndSummand, ((2, 1, 1, 0), -1, 1)),
+    (RankOverride, ((5, 5, 2, 0), -3, (11, 12), (9, 11), 220, "injective")),
+    (E1Page, ((1, 0, 0, 0), 0, (((0, 0), 4),))),
+    (Conflict, ((1, 2), (0, 2), 1, 3)),
+    (Cohomology, (EXACT,)),
+    (ChaseResult, (EXACT, (Conflict((1, 2), (0, 2), 1, 3),), 1)),
+    (RingElement, tuple(Fraction(k, 2) for k in range(6))),
+    (ExtendedMukaiVector, (Fraction(4), RingElement(h=Fraction(1)), Fraction(1, 2))),
+    (AtomicityReport, ((1, 0, 0, 0), CanonicalQPartition(1, 0, 0), 4, 3,
+                       Fraction(1, 16), True, True, True)),
+    (ExtReport, (EXACT, (1, 0, 0, 0), CanonicalQPartition(1, 0, 0), (), 3)),
+    (DiffCell, ((1, 0, 0, 0), "hom", 1, 1, "match")),
+]
+NAMES = {cls.__name__: cls for cls, _ in RECORDS} | {"Fraction": Fraction}
+
+
+@pytest.mark.parametrize("cls, args", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_record_is_an_immutable_value(cls, args):
+    a, b = cls(*args), cls(*args)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert not a != b
+    changed = cls(*args[:-1], None)
+    assert changed != a and a != changed
+    # the repr is Name(field=value, ...) and rebuilds an equal value
+    text = repr(a)
+    assert text.startswith(f"{cls.__name__}(") and eval(text, NAMES) == a
+    field = text[len(cls.__name__) + 1:].split("=")[0]
+    with pytest.raises(AttributeError):
+        setattr(a, field, None)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b and not hasattr(a, "extra")
+
+
+def test_record_equality_needs_the_same_class():
+    base, chased = Cohomology(EXACT), ChaseResult(EXACT, (), 5)
+    assert base.values == chased.values
+    assert base != chased and chased != base
+    assert base != EXACT and EXACT != base
+
+
+def test_record_repr_defaults_and_post_init():
+    assert repr(Conflict((1, 2), (0, 2), 1, 3)) == (
+        "Conflict(source=(1, 2), target=(0, 2), page=1, cap=3)"
+    )
+    assert repr(ChaseResult(EXACT, (), 5)) == (
+        f"ChaseResult(values={EXACT!r}, conflicts=(), euler=5)"
+    )
+    zero = Fraction(0)
+    assert RingElement() == RingElement(zero, zero, zero, zero, zero, zero)
+    assert RingElement(h=Fraction(1)) == RingElement(zero, Fraction(1))
+    assert CanonicalQPartition(2, 1, 0).twist == 0
+    assert RankOverride((5, 5, 2, 0), -3, (11, 12), (9, 11), 1).note == ""
+    with pytest.raises(ValueError, match="not a canonical triple"):
+        CanonicalQPartition(2, 2, 1)
+    # __post_init__ stores an override under its normalised name
+    other_name = RankOverride((6, 6, 3, 1), -4, (11, 12), (9, 11), 220, "injective")
+    assert (other_name.q_weight, other_name.twist) == ((5, 5, 2, 0), -3)
+    assert other_name == RankOverride(*RECORDS[3][1])
+
+
+def test_equal_override_tuples_share_a_chase():
+    # the chase cache is keyed by the override tuple, so equal overrides built
+    # apart, under either name of the bundle, must hit it
+    args = ((11, 12), (9, 11), 220, "injective")
+    first = (RankOverride((5, 5, 2, 0), -3, *args),)
+    again = (RankOverride((6, 6, 3, 1), -4, *args),)
+    assert first == again and hash(first) == hash(again)
+    res = chase_summand((5, 5, 2, 0), -3, first)
+    hits = chase_summand.cache_info().hits
+    assert chase_summand((5, 5, 2, 0), -3, again) is res
+    assert chase_summand.cache_info().hits == hits + 1

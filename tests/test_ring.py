@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -242,10 +243,79 @@ def test_weight_system_counts():
         assert total == weyl_dim(lam)
 
 
+def simplex(d):
+    """The points of N^3 with coordinate sum <= d, C(d + 3, 3) of them.
+
+    They are unisolvent for degree d: a polynomial of degree <= d in three
+    variables that vanishes on them is zero.  In the basis of products of
+    binomials C(x, i) C(y, j) C(z, k) with i + j + k <= d, its values there
+    form a triangular system (Newton's forward differences), so every
+    coefficient is zero.
+    """
+    return [(x, y, n - x - y) for n in range(d + 1)
+            for x in range(n + 1) for y in range(n - x + 1)]
+
+
+def difference(values):
+    """The last finite difference of equally spaced values: zero when they are
+    a polynomial of degree < len(values) - 1 in the step."""
+    while len(values) > 1:
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values[0]
+
+
+CLOSED_DEGREES = {"one": 6, "h": 7, "ch2": 8, "h2": 8, "ch3": 9, "pt": 10}
+
+
+def test_closed_forms_have_their_degrees():
+    # r is a product of six linear factors, ell has degree 1, delta and tau 2
+    # and xi 4, so the coordinates r, ell r, delta r, (ell^2 - delta/4) r,
+    # tau ell r and xi r of ch_closed have the degrees CLOSED_DEGREES lists.
+    # On a line in a direction where the top-degree part does not vanish, a
+    # polynomial has the same degree; seeded random directions find one.
+    rng = random.Random(24)
+    for _ in range(4):
+        start = [rng.randrange(4) for _ in range(3)]
+        step = [rng.randrange(1, 6) for _ in range(3)]
+        line = [[a + k * b for a, b in zip(start, step)] for k in range(12)]
+        chs = [ch_closed(CanonicalQPartition(u + v + 2 * s, v + s, s)) for u, v, s in line]
+        for name, d in CLOSED_DEGREES.items():
+            values = [getattr(ch, name) for ch in chs]
+            assert difference(values[:d + 1]) != 0, (name, step)
+            assert difference(values[:d + 2]) == 0, (name, step)
+
+
 def test_closed_matches_oracle():
-    for m, t, s in canonical_triples(6):
-        c = CanonicalQPartition(m, t, s)
-        assert ch_closed(c) == ch_oracle(c.weight), (m, t, s)
+    # A proof, not a sample.  ch_k of the oracle is a Taylor coefficient of
+    # the Weyl character, a polynomial in lambda of degree <= 6 + k on the
+    # dominant weights (Fulton-Harris, section 24); the closed forms have
+    # degree <= 10 (test_closed_forms_have_their_degrees).  m = u + v + 2s,
+    # t = v + s maps N^3 linearly onto the canonical triples, so the
+    # difference is a polynomial of degree <= 10 in (u, v, s) that vanishes
+    # on the unisolvent simplex(10): it vanishes on every canonical triple.
+    # This also proves ALPHA2's refitted coefficients.
+    points = simplex(max(CLOSED_DEGREES.values()))
+    assert len(points) == 286
+    for u, v, s in points:
+        c = CanonicalQPartition(u + v + 2 * s, v + s, s)
+        assert ch_closed(c) == ch_oracle(c.weight), (u, v, s)
+
+
+def test_every_schur_functor_is_modular():
+    # The paper's modularity theorem, proved within the ring model: the
+    # discriminant, the degree-2 part of ch(E) ch(E)^dual, is a multiple of
+    # c2(X) = h^2 - 8 ch2, i.e. its defect ch2 + 8 h^2 is zero.  Each
+    # coordinate of that part sums ch_i(E) ch_j(E^*) over i + j = 2, of degree
+    # <= (6 + i) + (6 + j) = 14 in lambda.  lambda = (a+b+c, b+c, c, 0) maps N^3
+    # linearly onto the dominant weights with last entry 0, and twisting E
+    # leaves End E alone, so a zero defect on the unisolvent simplex(14)
+    # proves it for every Schur functor of Q.
+    points = simplex(14)
+    assert len(points) == 680
+    for a, b, c in points:
+        ch = ch_oracle((a + b + c, b + c, c, 0))
+        end = ch * ch.dual()
+        assert end.ch2 + 8 * end.h2 == 0, (a, b, c)
 
 
 def test_degree012_closed_forms():
