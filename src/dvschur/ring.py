@@ -6,12 +6,16 @@ multiplication table of the ambient quotient bundle's Chern characters
 restricted to the fourfold.  All arithmetic is exact.
 
 Chern characters of Schur functors of Q come from one route, the
-splitting-principle oracle (weight-system moments times the fixed ring
-classes ``MONOMIAL_CLASS`` of the monomial symmetric functions).  The
-paper's closed polynomial formulas in the canonical triple (m,t,s), with the
-degree-4 coefficient's garbled quadratic term refitted exactly, live in
-``tests/test_ring.py`` as the independent reference the oracle is checked
-against.
+splitting-principle oracle ``ch_oracle``: one integer pass over the weight
+system takes the rank and the eleven weight moments of degree <= 4, and a
+fixed integer combination of them gives each coordinate.  The combination is
+the ring classes of the monomial symmetric functions of the Chern roots
+(``MONOMIAL_CLASS`` in ``tests/test_ring.py``, proved there from the power
+sums) divided by rho!; the per-partition sum over that table is the test's
+definitional reference for the oracle.  The paper's closed polynomial
+formulas in the canonical triple (m,t,s), with the degree-4 coefficient's
+garbled quadratic term refitted exactly, live in ``tests/test_ring.py`` as a
+second, independent reference.
 
 The Chern character of an endomorphism bundle End E is the product
 ch(E) * ch(E)^dual, one oracle call per bundle: ``ch_end`` takes any weight
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, isqrt, prod
+from math import isqrt
 
 from .partitions import (
     CanonicalQPartition,
@@ -117,41 +121,50 @@ SQRT_TODD = ONE + Q(1, 24) * C2X + Q(25, 32) * PT
 H_DUAL = -4 * CH3                        # h^3 = 66 h_dual; BBF pairing dual of h
 BBF_SQUARE_H = 22                        # Beauville-Bogomolov-Fujiki square of h
 
-# Ring class of the monomial symmetric function m_rho of the Chern roots of Q,
-# for every partition rho of degree <= 4.  These are fixed by the power sums
-# p1 = h, p2 = 2 ch2, p3 = 6 ch3, p4 = 24 ch4(Q) (Newton's identities in four
-# variables); ``tests/test_ring.py`` expands each product of power sums into
-# monomials and checks it against this table.
-MONOMIAL_CLASS = {
-    (1,): H,
-    (2,): 2 * CH2, (1, 1): Q(1, 2) * H2 - CH2,
-    (3,): 6 * CH3, (2, 1): -42 * CH3, (1, 1, 1): -24 * CH3,
-    (4,): -6 * PT, (3, 1): -27 * PT, (2, 2): 33 * PT,
-    (2, 1, 1): 96 * PT, (1, 1, 1, 1): 9 * PT,
-}
-
-
 @cache
 def ch_oracle(lam: Weight) -> RingElement:
     """Chern character of Sigma_lam Q by the splitting principle.
 
     Sums exp(w . x) over the weight system, truncated in degree 4: the
-    coefficient of the monomial orbit m_rho is the weight moment
-    sum(mult * w^rho) / rho!, and m_rho has the ring class
-    ``MONOMIAL_CLASS[rho]``.  Normative ground truth for the closed formulas.
+    coefficient of the monomial orbit m_rho is M_rho / rho!, with the integer
+    moment M_rho = sum(mult * w^rho).  One pass over the weights takes the
+    rank and the eleven moments from shared partial products (k a, k a a,
+    k a b, ...); each coordinate is then a fixed integer combination of them,
+    read off the ring classes of the m_rho over rho!.  Those classes
+    (``MONOMIAL_CLASS``) and the per-rho sum over them, the reference this
+    is tested against, live in ``tests/test_ring.py``.  Normative ground
+    truth for the closed formulas.
     """
     lam = check_dominant(lam, 4)
-    ws = weight_system(lam)
-    total = RingElement(one=Q(sum(mult for _, mult in ws)))
-    for rho, cls in MONOMIAL_CLASS.items():
-        moment = 0
-        for w, mult in ws:
-            term = mult
-            for x, e in zip(w, rho):
-                term *= x**e
-            moment += term
-        total = total + Q(moment, prod(map(factorial, rho))) * cls
-    return total
+    r = m1 = m2 = m11 = m3 = m21 = m111 = 0
+    m4 = m31 = m22 = m211 = m1111 = 0
+    for (a, b, c, d), k in weight_system(lam):
+        ka = k * a
+        kaa = ka * a
+        kab = ka * b
+        kaaa = kaa * a
+        kaab = kaa * b
+        kabc = kab * c
+        r += k
+        m1 += ka
+        m2 += kaa
+        m11 += kab
+        m3 += kaaa
+        m21 += kaab
+        m111 += kabc
+        m4 += kaaa * a
+        m31 += kaaa * b
+        m22 += kaab * b
+        m211 += kaab * c
+        m1111 += kabc * d
+    return RingElement(
+        one=Q(r),
+        h=Q(m1),
+        h2=Q(m11, 2),
+        ch2=Q(m2 - m11),
+        ch3=Q(m3 - 21 * m21 - 24 * m111),
+        pt=Q(-m4 - 18 * m31 + 33 * m22 + 192 * m211 + 36 * m1111, 4),
+    )
 
 
 # ---------------------------------------------------------------------------

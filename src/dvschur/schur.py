@@ -54,13 +54,18 @@ def lr_coefficients(lam: Weight, mu: Weight, rank: int) -> Decomposition:
     """Littlewood-Richardson multiplicities of Sigma_lam x Sigma_mu for GL(rank).
 
     Klimyk's formula (``klimyk_sum``) over the weights w of the factor of
-    smaller dimension, each added to the other's highest weight lam.
+    smaller dimension, each added to the other's highest weight.  On a tie
+    the first factor's weights are walked: ``end_decomposition(c)`` then
+    reads the memoised ``weight_system(c.weight)`` that the HRR check
+    ``ring.ch_oracle(c.weight)`` reads too, not the shifted dual's, so one
+    enumeration serves both.  The coefficients are symmetric in the two
+    factors, so the choice moves no value.
     """
     if rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
     lam = check_dominant(_pad(tuple(lam), rank))
     mu = check_dominant(_pad(tuple(mu), rank))
-    if weyl_dim(mu) > weyl_dim(lam):
+    if weyl_dim(mu) >= weyl_dim(lam):
         lam, mu = mu, lam
     return klimyk_sum(
         ([a + b for a, b in zip(lam, w)], k) for w, k in weight_system(mu)

@@ -1,10 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 from hypothesis import given, settings, strategies as st
 
-from dvschur.partitions import CanonicalQPartition, dual, weyl_dim
+from dvschur.partitions import CanonicalQPartition, canonicalize, dual, weyl_dim
 from dvschur.ring import (
     ExtendedMukaiVector,
     extended_vector_candidate,
@@ -14,7 +15,6 @@ from dvschur.ring import (
     H,
     H2,
     H_DUAL,
-    MONOMIAL_CLASS,
     ONE,
     PT,
     SQRT_TODD,
@@ -197,6 +197,37 @@ def partitions_of(d, largest=None):
             yield (first,) + rest
 
 
+# Ring class of the monomial symmetric function m_rho of the Chern roots of Q,
+# for every partition rho of degree <= 4.  These are fixed by the power sums
+# p1 = h, p2 = 2 ch2, p3 = 6 ch3, p4 = 24 ch4(Q) (Newton's identities in four
+# variables); ``test_monomial_classes_match_power_sums`` expands each product
+# of power sums into monomials and checks it against this table, and
+# ``ch_by_monomial_classes`` turns it into the oracle's reference.
+MONOMIAL_CLASS = {
+    (1,): H,
+    (2,): 2 * CH2, (1, 1): Q(1, 2) * H2 - CH2,
+    (3,): 6 * CH3, (2, 1): -42 * CH3, (1, 1, 1): -24 * CH3,
+    (4,): -6 * PT, (3, 1): -27 * PT, (2, 2): 33 * PT,
+    (2, 1, 1): 96 * PT, (1, 1, 1, 1): 9 * PT,
+}
+
+
+def ch_by_monomial_classes(lam) -> RingElement:
+    """The splitting principle by definition: the rank plus, for each rho, the
+    weight moment sum(mult * w^rho) / rho! times ``MONOMIAL_CLASS[rho]``."""
+    ws = weight_system(lam)
+    total = RingElement(one=Q(sum(mult for _, mult in ws)))
+    for rho, cls in MONOMIAL_CLASS.items():
+        moment = 0
+        for w, mult in ws:
+            term = mult
+            for x, e in zip(w, rho):
+                term *= x**e
+            moment += term
+        total = total + Q(moment, prod(map(factorial, rho))) * cls
+    return total
+
+
 def test_monomial_classes_match_power_sums():
     # expand p_pi = prod_k (x1^k + ... + x4^k) into monomial orbits m_rho: the
     # table's classes must add up to the product of the power-sum classes
@@ -222,6 +253,18 @@ def test_monomial_classes_match_power_sums():
 
 def test_ch_oracle_standard():
     assert ch_oracle((1, 0, 0, 0)) == RingElement(Q(4), Q(1), Q(0), Q(1), Q(1), Q(-1, 4))
+
+
+def test_ch_oracle_matches_monomial_class_sum():
+    # the oracle's integer combination of moments is the per-rho sum over
+    # MONOMIAL_CLASS, on every dominant weight with entries in -2..6 (last
+    # entries negative, zero and positive alike)
+    span = range(-2, 7)
+    grid = [(a, b, c, d) for a in span for b in span for c in span for d in span
+            if a >= b >= c >= d]
+    assert len(grid) == 495
+    for lam in grid:
+        assert ch_oracle(lam) == ch_by_monomial_classes(lam), lam
 
 
 def test_ch_oracle_symmetric_powers():
@@ -384,6 +427,18 @@ def test_ch_end_matches_sum_over_summands():
             pieces = pieces + summand.multiplicity * ch_oracle(weight)
         assert pieces == ch_end(lam) == ch_end(dual(lam)), (m, t, s)
         assert ch_oracle(lam).dual() == ch_oracle(dual(lam)), (m, t, s)
+
+
+def test_end_split_and_hrr_share_one_weight_system():
+    # end_decomposition walks the canonical weight's own weight system, so the
+    # HRR oracle on that weight enumerates nothing new
+    for lam in [(4, 2, 1, 0), (8, 4, 2, 0), (6, 6, 3, 1)]:
+        c = canonicalize(lam)
+        weight_system.cache_clear()
+        end_decomposition(c)
+        misses = weight_system.cache_info().misses
+        ch_oracle.__wrapped__(c.weight)  # past the oracle's own memo
+        assert weight_system.cache_info().misses == misses, lam
 
 
 def test_chi_invariant_under_twist_and_dual():
