@@ -46,7 +46,6 @@ def ext_groups(lam: Weight, overrides=()) -> ExtReport:
     c = canonicalize(lam)
     overrides = tuple(overrides)
     named = {(ov.q_weight, ov.twist) for ov in overrides}
-    values = [[0, 0] for _ in range(5)]
     pairs = []
     for summand in end_decomposition(c):
         key = summand.normalized()
@@ -56,11 +55,11 @@ def ext_groups(lam: Weight, overrides=()) -> ExtReport:
         else:
             res = chase_summand(*key, overrides)
         pairs.append((summand, res))
-        for n in range(5):
-            lo, hi = res.values[n]
-            values[n][0] += summand.multiplicity * lo
-            values[n][1] += summand.multiplicity * hi
-    return ExtReport(tuple(map(tuple, values)), lam, c, tuple(pairs), chi_endo(lam))
+    values = tuple(
+        tuple(sum(s.multiplicity * r.values[n][end] for s, r in pairs) for end in (0, 1))
+        for n in range(5)
+    )
+    return ExtReport(values, lam, c, tuple(pairs), chi_endo(lam))
 
 
 def reproduce_table1(overrides=()) -> list[ExtReport]:

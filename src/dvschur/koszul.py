@@ -74,6 +74,11 @@ def build_complex(lam: Weight, d: int) -> tuple[Weight, int]:
     return check_dominant(lam, 4), -d
 
 
+def alternating_sum(cells) -> int:
+    """Sum of (-1)^(q-p) dim over ((p, q), dim); the sign is a float when q < p."""
+    return sum((-1) ** (q - p) * dim for (p, q), dim in cells)
+
+
 @record
 class E1Page:
     """The first page: the nonzero positions (p, q), sorted, with dimensions."""
@@ -84,7 +89,7 @@ class E1Page:
 
     @property
     def euler(self) -> int:
-        return sum((-1) ** (q - p) * dim for (p, q), dim in self.entries)
+        return alternating_sum(self.entries)
 
 
 def e1_page(cx: tuple[Weight, int]) -> E1Page:
@@ -169,7 +174,7 @@ class ChaseResult(Cohomology):
         endpoint is max(0, dim - sum of its caps), in any order.  K_X is trivial,
         so phi(p, q) = (20 - p, 24 - q) maps the page, and its page-r pairs target
         first, onto the partner's; sorted by (page, source), as the chase emits.
-        ``euler`` is this page's: chi(F) = chi(F^*), up to E1Page.euler's rounding.
+        ``euler`` is this page's: chi(F) = chi(F^*), up to ``alternating_sum``'s rounding.
         """
         def phi(p, q):
             return WEDGE_RANK - p, DIM_GR - q
@@ -187,75 +192,69 @@ def serre_partner(q_weight: Weight, twist: int) -> tuple[Weight, int]:
 def chase(page: E1Page, overrides=()) -> ChaseResult:
     """Process differential pages in increasing order, applying overrides.
 
-    A potential differential between live entries either has its rank
-    supplied by an override (both endpoints are reduced by it) or is recorded
-    as a conflict, widening both endpoints' intervals by the maximal possible
-    rank.  Processing in page order lets an early override kill later
-    potential differentials from the same source.  Overrides match the
-    page's ``normalize``d name.
+    Between live entries a potential differential either has its rank set by
+    an override, which lowers both upper ends ``hi``, or is a conflict whose
+    cap is the largest rank they allow.  A running ``cut`` per position adds
+    up override ranks and caps, and each lower end is max(0, dim - cut): the
+    step-by-step clamp at 0, as every cut is >= 0.  Page order lets an early
+    override kill later differentials from the same source.  Overrides match
+    the page's ``normalize``d name.
     """
     name = normalize(page.q_weight, page.twist)
-    by_pos = {
+    pending = {
         (ov.source, ov.target): ov for ov in overrides if (ov.q_weight, ov.twist) == name
     }
-    bounds = {pos: [dim, dim] for pos, dim in page.entries}
-    euler = page.euler
-    conflicts: list[Conflict] = []
-    consumed = set()
-
+    hi = dict(page.entries)
+    cut = dict.fromkeys(hi, 0)
+    matched, conflicts = [], []
     for r in range(1, WEDGE_RANK + 1):
-        for pos in sorted(bounds):
+        for pos in sorted(hi):
             p, q = pos
             target = (p - r, q - r + 1)
-            if target not in bounds:
+            if target not in hi:
                 continue
-            src = bounds[pos]
-            tgt = bounds[target]
-            ov = by_pos.get((pos, target))
+            ov = pending.pop((pos, target), None)
             if ov is not None:
-                consumed.add((pos, target))
-                if ov.rank > src[1] or ov.rank > tgt[1]:
+                matched.append((pos, target))
+                if ov.rank > hi[pos] or ov.rank > hi[target]:
                     raise OverrideError(
                         f"override rank {ov.rank} at {pos}->{target} exceeds "
-                        f"entry dimensions {src[1]}, {tgt[1]}"
+                        f"entry dimensions {hi[pos]}, {hi[target]}"
                     )
-                for entry in (src, tgt):
-                    entry[0] = max(0, entry[0] - ov.rank)
-                    entry[1] -= ov.rank
-            elif src[1] == 0 or tgt[1] == 0:
-                continue
+                step = ov.rank
+                hi[pos] -= step
+                hi[target] -= step
             else:
-                cap = min(src[1], tgt[1])
-                conflicts.append(Conflict(pos, target, r, cap))
-                src[0] = max(0, src[0] - cap)
-                tgt[0] = max(0, tgt[0] - cap)
+                step = min(hi[pos], hi[target])
+                if step:
+                    conflicts.append(Conflict(pos, target, r, step))
+            cut[pos] += step
+            cut[target] += step
 
-    for key, ov in by_pos.items():
-        if key not in consumed and ov.rank > 0:
+    for ov in pending.values():
+        if ov.rank > 0:
             raise OverrideError(
                 f"override at {ov.source}->{ov.target} does not match any "
                 f"pair of entries on the page"
             )
 
-    check = sum((-1) ** (q - p) * hi for (p, q), (lo, hi) in bounds.items())
-    if check != euler:
+    if alternating_sum(hi.items()) != page.euler:
         raise ArithmeticError("chase broke the Euler characteristic")
 
-    if not conflicts:
-        stray = {pos: hi for pos, (lo, hi) in bounds.items()
-                 if hi and not 0 <= pos[1] - pos[0] <= MAX_DEGREE}
-        if stray:
-            msg = f"determinate chase left cohomology outside degrees 0..4: {stray}"
-            if consumed:  # then an override's rank is at fault, not the program
-                raise OverrideError(f"{msg}, after overrides at {sorted(consumed)}")
-            raise ArithmeticError(msg)
-
-    values = []
-    for n in range(MAX_DEGREE + 1):
-        lo = sum(b[0] for (p, q), b in bounds.items() if q - p == n)
-        hi = sum(b[1] for (p, q), b in bounds.items() if q - p == n)
-        values.append((lo, hi))
-    return ChaseResult(tuple(values), tuple(conflicts), euler)
+    values = [[0, 0] for _ in range(MAX_DEGREE + 1)]
+    stray = {}
+    for (p, q), dim in page.entries:
+        if 0 <= q - p <= MAX_DEGREE:
+            values[q - p][0] += max(0, dim - cut[p, q])
+            values[q - p][1] += hi[p, q]
+        elif hi[p, q]:
+            stray[p, q] = hi[p, q]
+    if stray and not conflicts:
+        msg = f"determinate chase left cohomology outside degrees 0..4: {stray}"
+        if matched:  # then an override's rank is at fault, not the program
+            raise OverrideError(f"{msg}, after overrides at {sorted(matched)}")
+        raise ArithmeticError(msg)
+    return ChaseResult(tuple(map(tuple, values)), tuple(conflicts), page.euler)
 
 
 @cache

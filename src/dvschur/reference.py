@@ -73,16 +73,12 @@ def diff_against_paper(reports: list[ExtReport]) -> list[DiffCell]:
             if printed is None:
                 # nothing claimed: indeterminate rows should stay indeterminate
                 # in the two nontrivial columns, while hom is often still exact
-                if column == "hom":
-                    status = "no-claim"
-                else:
-                    status = "no-claim" if isinstance(ours, tuple) else "mismatch"
+                exempt = column == "hom" or isinstance(ours, tuple)
+                status = "no-claim" if exempt else "mismatch"
             elif (report.lam, column) in annotated:
                 forced = annotated[(report.lam, column)]["forced"]
                 status = "annotated" if ours == forced else "mismatch"
-            elif isinstance(ours, tuple):
-                status = "mismatch"
-            else:
+            else:  # an interval never equals a printed integer
                 status = "match" if ours == printed else "mismatch"
             cells.append(DiffCell(report.lam, column, ours, printed, status))
     return cells
