@@ -131,17 +131,15 @@ def _overrides_from_args(args):
     return koszul.load_overrides(args.overrides)
 
 
-def _warn_unmatched(args, overrides, chased: set) -> None:
-    """Warn about each override whose (q_weight, twist), ``normalize``d like
-    ``chased``, is not in it; a preset spans many runs, so it is silent."""
-    for i, ov in enumerate(() if args.overrides in koszul.PRESETS else overrides):
-        if (ov.q_weight, ov.twist) not in chased:
-            print(f"warning: override {i}: no summand chased here has q_weight "
-                  f"{format_weight(ov.q_weight)} and twist {ov.twist}", file=sys.stderr)
-
-
-def _summands(reports) -> set:
-    return {s.normalized() for report in reports for s, _ in report.summands}
+def _warn_unmatched(args, overrides, chased) -> None:
+    """Warn about each override whose (q_weight, twist), ``normalize``d like the
+    names in ``chased``, is not among them; a preset spans many runs: silent."""
+    if overrides and args.overrides not in koszul.PRESETS:
+        chased = set(chased)
+        for i, ov in enumerate(overrides):
+            if (ov.q_weight, ov.twist) not in chased:
+                print(f"warning: override {i}: no summand chased here has q_weight "
+                      f"{format_weight(ov.q_weight)} and twist {ov.twist}", file=sys.stderr)
 
 
 # Every flag a subcommand may take, with its ``add_argument`` keywords.
@@ -239,7 +237,7 @@ def _cmd_cohomology(args) -> int:
     overrides = _overrides_from_args(args)
     page = koszul.e1_page(koszul.build_complex(lam, -args.twist))
     result = koszul.chase(page, overrides)
-    _warn_unmatched(args, overrides, {normalize(lam, args.twist)})
+    _warn_unmatched(args, overrides, [normalize(lam, args.twist)])
     print(_dump({
         "q_weight": lam,
         "twist": args.twist,
@@ -289,7 +287,7 @@ def _cmd_sym(args) -> int:
 def _run_ext(args, lam, with_summands: bool) -> int:
     overrides = _overrides_from_args(args)
     report = ext.ext_groups(lam, overrides)
-    _warn_unmatched(args, overrides, _summands([report]))
+    _warn_unmatched(args, overrides, (s.normalized() for s, _ in report.summands))
     _print_ext([report], args.fmt, _ext_json(report, with_summands))
     return 0 if report.exact else 2
 
@@ -297,7 +295,7 @@ def _run_ext(args, lam, with_summands: bool) -> int:
 def _cmd_table1(args) -> int:
     overrides = _overrides_from_args(args)
     reports = ext.reproduce_table1(overrides)
-    _warn_unmatched(args, overrides, _summands(reports))
+    _warn_unmatched(args, overrides, (s.normalized() for r in reports for s, _ in r.summands))
     cells = reference.diff_against_paper(reports)
     bad = reference.unannotated_mismatches(cells)
     payload = {

@@ -44,16 +44,17 @@ def ext_groups(lam: Weight, overrides=()) -> ExtReport:
     """
     lam = check_dominant(lam, 4)
     c = canonicalize(lam)
-    overrides = tuple(overrides)
-    named = {(ov.q_weight, ov.twist) for ov in overrides}
+    own = {}  # (q_weight, twist) -> the overrides naming it, in input order
+    for ov in overrides:
+        own[ov.q_weight, ov.twist] = own.get((ov.q_weight, ov.twist), ()) + (ov,)
     pairs = []
     for summand in end_decomposition(c):
         key = summand.normalized()
         partner = serre_partner(*key)
-        if partner < key and not named & {key, partner}:
-            res = chase_summand(*partner, overrides).serre_dual()
+        if partner < key and key not in own and partner not in own:
+            res = chase_summand(*partner, ()).serre_dual()
         else:
-            res = chase_summand(*key, overrides)
+            res = chase_summand(*key, own.get(key, ()))
         pairs.append((summand, res))
     values = tuple(
         tuple(sum(s.multiplicity * r.values[n][end] for s, r in pairs) for end in (0, 1))

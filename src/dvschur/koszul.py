@@ -259,7 +259,8 @@ def chase(page: E1Page, overrides=()) -> ChaseResult:
 
 @cache
 def chase_summand(q_weight: Weight, twist: int, overrides=()) -> ChaseResult:
-    """Cohomology of Sigma_q_weight Q tensor O(twist) on the fourfold."""
+    """Cohomology of Sigma_q_weight Q tensor O(twist) on the fourfold; pass only
+    this summand's own overrides, as a tuple, so that callers share cache keys."""
     page = e1_page(build_complex(q_weight, -twist))
     return chase(page, overrides)
 

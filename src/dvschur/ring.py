@@ -19,10 +19,12 @@ second, independent reference.
 
 The Chern character of an endomorphism bundle End E is the product
 ch(E) * ch(E)^dual, one oracle call per bundle: ``ch_end`` takes any weight
-and calls the oracle on its canonical form.  It does not use the
-Littlewood-Richardson split of End E, so Euler characteristics computed
-from it are an independent check on that split and on the chase; the
-per-summand sum over the split is kept as a test (``tests/test_ring.py``).
+and calls the oracle on its canonical form.  ``chi_endo`` skips both
+products: chi(End E) on ch(E) = (o, h, h2, c2, c3, p) is the quadratic form
+3o^2 + 2op + 11 h c3 + 1452 h2^2 + 198 h2 c2 + 15 c2^2 + 110 o h2 - 55 h^2
+- 7/2 o c2 from the multiplication table and ``TODD``; the tests keep the
+product route ``integrate(ch * ch.dual() * TODD)`` as its reference.  Neither
+uses the Littlewood-Richardson split of End E: chi checks it and the chase.
 """
 
 from __future__ import annotations
@@ -182,11 +184,19 @@ def ch_end(lam: Weight) -> RingElement:
 
 
 def chi_endo(lam: Weight) -> int:
-    """Euler characteristic of End(Sigma_lam Q) by Hirzebruch-Riemann-Roch."""
-    chi = integrate(ch_end(lam) * TODD)
-    if chi.denominator != 1:
+    """Euler characteristic of End(Sigma_lam Q) by Hirzebruch-Riemann-Roch.
+
+    The pairing's p, c3, h2^2, h2 c2, c2^2 terms are the point class of
+    ch * ch^dual by the multiplication table; 3o^2 + 110 o h2 - 55 h^2 - 7/2 o c2
+    pairs its one, h2 and ch2 with ``TODD``.  Times 4 it is an integer form.
+    """
+    ch = ch_oracle(canonicalize(lam).weight)
+    o, h, c2, c3, h2, p = map(int, (ch.one, ch.h, ch.ch2, ch.ch3, 2 * ch.h2, 4 * ch.pt))
+    chi, rest = divmod(12 * o * o + 2 * o * p + 44 * h * c3 + 1452 * h2 * h2 + 396 * h2 * c2
+                       + 60 * c2 * c2 + 220 * o * h2 - 220 * h * h - 14 * o * c2, 4)
+    if rest:
         raise ArithmeticError(f"Euler characteristic not integral at {lam}")
-    return int(chi)
+    return chi
 
 
 def discriminant(lam: Weight) -> RingElement:

@@ -63,3 +63,12 @@ def test_traced_ext_large_matches_ext_groups():
     assert answer["chi"] == report.chi_check
     assert "schur.end_decomposition" in out["layers"]
     assert out["counters"]["ring.oracle_weights"] > 0
+
+
+def test_traced_table1_counts_every_oracle_call():
+    # the counters come from a wrapper on ring.ch_oracle: chi_endo must call
+    # the oracle through the module, once per row, or the bench reads zero
+    out = traced_sample("table1")
+    assert len(out["answers"]) == 21
+    assert out["counters"]["ring.ch_oracle_calls"] == 21
+    assert out["counters"]["ring.oracle_weights"] == 841

@@ -238,6 +238,24 @@ def test_one_chase_per_serre_pair(preset):
     assert chases(TABLE1_ROWS, preset) == 27  # 33 with both sides chased
 
 
+def test_chase_cache_is_keyed_by_own_overrides(preset):
+    # each chase gets only its summand's overrides, so after the preset run a
+    # run without overrides chases again only the summands the preset names
+    chase_summand.cache_clear()
+    cold = {lam: ext_groups(lam, ()).values for lam in TABLE1_ROWS}
+    named = {(ov.q_weight, ov.twist) for ov in preset}
+    named_counts = []
+    for lam in TABLE1_ROWS:
+        chase_summand.cache_clear()
+        ext_groups(lam, preset)
+        before = chase_summand.cache_info().misses
+        assert ext_groups(lam, ()).values == cold[lam], lam
+        own = named & {s.normalized() for s in end_decomposition(canonicalize(lam))}
+        assert chase_summand.cache_info().misses - before <= len(own), lam
+        named_counts.append(len(own))
+    assert 0 in named_counts and max(named_counts) > 0
+
+
 def test_one_sided_override_is_not_mirrored(tmp_path, preset):
     # an override file naming ((5,5,2,0), -3) but not its partner
     # ((5,3,0,0), -2): the pair must be chased on both sides

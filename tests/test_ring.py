@@ -5,6 +5,7 @@ from math import factorial, prod
 
 from hypothesis import given, settings, strategies as st
 
+from dvschur import ring
 from dvschur.partitions import CanonicalQPartition, canonicalize, dual, weyl_dim
 from dvschur.ring import (
     ExtendedMukaiVector,
@@ -452,6 +453,20 @@ def test_chi_via_dual_product():
         lam = (m, t, s, 0)
         direct = integrate(ch_oracle(lam) * ch_oracle(dual(lam)) * TODD)
         assert direct == chi_endo(lam), (m, t, s)
+
+
+def test_chi_pairing_is_the_product_route(monkeypatch):
+    # chi_endo pairs ch with itself in closed form; the product route
+    # integrate(a * a.dual() * TODD) is the reference.  Both are quadratic
+    # forms in a, so agreeing on the basis and its pairwise sums proves them
+    # equal everywhere.  An oracle handing chi_endo 2a gives chi(2a) = 4 chi(a),
+    # an integer on these classes.
+    basis = (ONE, H, H2, CH2, CH3, PT)
+    classes = basis + tuple(a + b for i, a in enumerate(basis) for b in basis[i + 1:])
+    assert len(classes) == 21
+    for a in classes:
+        monkeypatch.setattr(ring, "ch_oracle", lambda weight, a=a: 2 * a)
+        assert chi_endo((1, 0, 0, 0)) == 4 * integrate(a * a.dual() * TODD), a
 
 
 def test_xi_integral_closed_form():
