@@ -8,8 +8,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from dvschur import cli
 from dvschur.cli import build_parser, main
+from dvschur.ext import ext_groups
+from dvschur.koszul import load_overrides
 from dvschur.ring import ch_oracle
 
 
@@ -522,3 +526,30 @@ def test_parser_option_sets():
         for name, sub in subs.choices.items()
     }
     assert list(found.items()) == list(PARSER_OPTIONS.items())
+
+
+# keys and strings with non-ASCII characters, quotes, backslashes and control
+# characters; ints beyond 64 bits of either sign; finite floats such as 91.0
+JSON_TEXT = st.text() | st.text(alphabet='a"\\\n\t\x00\u00e9\u20ac\U0001f600')
+JSON_LEAVES = (
+    st.none() | st.booleans() | JSON_TEXT
+    | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+    | st.floats(allow_nan=False, allow_infinity=False) | st.just(91.0)
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(JSON_TEXT, children)),
+    max_leaves=40,
+)
+
+
+@given(JSON_TREES)
+def test_indented_json_is_json_dumps(tree):
+    assert cli._indented_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_indented_json_on_the_largest_report():
+    report = ext_groups((8, 4, 2, 0), load_overrides("paper-4.2"))
+    payload = cli._ext_json(report, True)
+    assert cli._indented_json(payload) == json.dumps(payload, sort_keys=True, indent=2)

@@ -59,6 +59,16 @@ def test_cli_golden(name):
     assert status == json.loads((GOLDEN / "status.json").read_text())[name]
 
 
+@pytest.mark.parametrize("name", sorted(
+    name for name, argv in CASES.items() if not {"markdown", "csv"} & set(argv)
+))
+def test_json_goldens_have_json_layout(name):
+    # json's own layout, so re-recording the goldens cannot hide a drift in
+    # the CLI's own JSON writer
+    text = (GOLDEN / f"{name}.out").read_text()
+    assert json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n" == text
+
+
 def test_goldens_cover_every_case():
     recorded = {path.stem for path in GOLDEN.glob("*.out")}
     assert recorded == set(CASES)
