@@ -267,7 +267,7 @@ def _cmd_koszul_table(args) -> int:
 def _cmd_cohomology(args) -> int:
     lam = parse_weight(args.lam, 4)
     overrides = _overrides_from_args(args)
-    page = koszul.e1_page(koszul.build_complex(lam, -args.twist))
+    page = koszul.e1_page((lam, args.twist))
     result = koszul.chase(page, overrides)
     _warn_unmatched(args, overrides, [normalize(lam, args.twist)])
     print(_dump({

@@ -64,14 +64,13 @@ class OverrideError(ValueError):
 
 
 def build_complex(lam: Weight, d: int) -> tuple[Weight, int]:
-    """Koszul resolution of Sigma_lam Q tensor O(-d) on the fourfold: the pair
-    (lam validated, twist -d); term p is factor-table column p raised by d.
+    """The page pair of Sigma_lam Q tensor O(-d): ``(lam, -d)``, for ``e1_page``.
 
-    ``d`` counts down twists, against every other twist in the package (the
-    power of O(1), here ``-d``).  It stays while ``bench/child.py`` calls
-    ``build_complex(q_weight, -twist)``; ROADMAP item D removes it.
+    A sign flip that no package path calls: ``bench/child.py`` times it in
+    traced runs, pinned by ``tests/test_bench_contract.py`` and
+    ``test_build_complex_terms``, until ROADMAP item D deletes it.
     """
-    return check_dominant(lam, 4), -d
+    return lam, -d
 
 
 def alternating_sum(cells) -> int:
@@ -93,15 +92,15 @@ class E1Page:
 
 
 def e1_page(cx: tuple[Weight, int]) -> E1Page:
-    """Apply Borel-Weil-Bott to every factor and sum the dimensions per position.
-
-    The rule of ``bwb.bott`` without its validation or memo on the pair
-    ``cx = (q_weight, twist)`` of ``build_complex``, which validated q_weight
-    (factor weights are dominant by construction):
-    ``partitions.reflect`` of ``q_weight + (mu - twist)`` gives the degree q,
-    or None (acyclic), and ``partitions.weyl_product`` the dimension.
+    """The first page of Sigma_q_weight Q tensor O(twist), for ``cx = (q_weight,
+    twist)`` with twist the power of O(1): term p is factor-table column p
+    raised by -twist.  The one check that q_weight is dominant of length 4,
+    whoever built the pair (factor weights are dominant by construction).
+    Then the rule of ``bwb.bott`` without its memo, summed per position:
+    ``partitions.reflect`` of ``q_weight + (mu - twist)`` gives q, or None
+    (acyclic), and ``partitions.weyl_product`` the dimension.
     """
-    lam, t = cx
+    lam, t = check_dominant(cx[0], 4), cx[1]
     dims: dict[Position, int] = {}
     for p, column in enumerate(koszul_factor_table()):
         for mu, mult in column.items():
@@ -206,9 +205,10 @@ def chase(page: E1Page, overrides=()) -> ChaseResult:
     }
     hi = dict(page.entries)
     cut = dict.fromkeys(hi, 0)
+    positions = sorted(hi)  # the keys stay, only the upper ends move
     matched, conflicts = [], []
     for r in range(1, WEDGE_RANK + 1):
-        for pos in sorted(hi):
+        for pos in positions:
             p, q = pos
             target = (p - r, q - r + 1)
             if target not in hi:
@@ -259,10 +259,10 @@ def chase(page: E1Page, overrides=()) -> ChaseResult:
 
 @cache
 def chase_summand(q_weight: Weight, twist: int, overrides=()) -> ChaseResult:
-    """Cohomology of Sigma_q_weight Q tensor O(twist) on the fourfold; pass only
-    this summand's own overrides, as a tuple, so that callers share cache keys."""
-    page = e1_page(build_complex(q_weight, -twist))
-    return chase(page, overrides)
+    """Cohomology of Sigma_q_weight Q tensor O(twist) on the fourfold, the chase
+    of ``e1_page((q_weight, twist))``; pass only this summand's own overrides,
+    as a tuple, so that callers share cache keys."""
+    return chase(e1_page((q_weight, twist)), overrides)
 
 
 def _override_from_json(obj, index: int) -> RankOverride:

@@ -15,6 +15,7 @@ from dvschur.cli import build_parser, main
 from dvschur.ext import ext_groups
 from dvschur.koszul import load_overrides
 from dvschur.ring import ch_oracle
+from dvschur.schur import MAX_DIM
 
 
 def run(capsys, *argv):
@@ -553,3 +554,33 @@ def test_indented_json_on_the_largest_report():
     report = ext_groups((8, 4, 2, 0), load_overrides("paper-4.2"))
     payload = cli._ext_json(report, True)
     assert cli._indented_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "--lambda", f"{HUGE},0,0,0"],
+    ["sym", "--m", HUGE],
+    ["atomic", "--lambda", f"{HUGE},0,0,0"],
+    ["chern", "--lambda", f"{HUGE},0,0,0"],
+    ["lr", "--lambda", f"{HUGE},0", "--mu", f"{HUGE},0", "--rank", "2"],
+    ["ext", "--lambda", "60,30,15,0"],  # dimension 62,662,656: ran past 60 s
+    ["chern", "--lambda", "34,17,8,0"],  # dimension 2,657,340
+], ids=["ext-huge", "sym-huge", "atomic-huge", "chern-huge", "lr-huge", "ext-60",
+        "chern-34"])
+def test_weight_above_the_dimension_bound_exit_one(capsys, argv):
+    # refused before its weight system is built: one error line, no traceback
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: weight (")
+    assert f"above the bound {MAX_DIM} " in captured.err
+
+
+def test_weight_below_the_dimension_bound_runs(capsys):
+    # (30,15,7,0) has dimension 1,346,400; ext walks the same weight system
+    code, out = run(capsys, "chern", "--lambda", "30,15,7,0")
+    assert code == 0
+    assert json.loads(out)["rank"] == 1346400 <= MAX_DIM

@@ -367,9 +367,12 @@ def test_e1_page_matches_per_factor_bott():
     "lam", [(0, 1, 0, 0), (2, 1, 0, 1), (1, 0, 0), (1, 0, 0, 0, 0), ()]
 )
 def test_build_complex_rejects_bad_q_weight(lam):
-    # e1_page trusts cx.q_weight, so build_complex is where it is checked
+    # build_complex only flips the sign and e1_page checks the weight, so a
+    # bad weight makes no page whichever caller built the pair
     with pytest.raises(ValueError):
-        build_complex(lam, 0)
+        e1_page(build_complex(lam, 0))
+    with pytest.raises(ValueError):
+        e1_page((lam, 0))
 
 
 def test_factor_table_weights_are_dominant_6_tuples():

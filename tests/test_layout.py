@@ -9,6 +9,10 @@ a module (``m._x``, ``dvschur.m._x``).  Tests are exempt.
 Standard output carries only the report, and ``cli.py`` renders it: no other
 module in ``src/dvschur/`` may call ``print`` or reach ``sys.stdout``.
 
+Pages are built as ``e1_page((q_weight, twist))``, the twist a power of O(1):
+no module in ``src/dvschur/`` calls ``koszul.build_complex``, which takes
+O(-d) and stays only for ``bench/child.py``.
+
 A cold start imports only what the CLI runs: neither ``dataclasses`` (which
 pulls in ``inspect``) nor ``importlib.resources``.
 """
@@ -141,6 +145,37 @@ def test_only_cli_writes_stdout():
         path.name: uses
         for path in modules
         if path.name != "cli.py" and (uses := stdout_uses(path.read_text()))
+    }
+    assert violations == {}
+
+
+def build_complex_calls(source: str) -> list[str]:
+    """Every call of ``build_complex``, by name or as an attribute."""
+    return [
+        f"build_complex@{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "build_complex"
+    ]
+
+
+def test_guard_catches_build_complex_calls():
+    source = """
+def build_complex(lam, d):
+    return lam, -d
+page = e1_page(build_complex(lam, -t))
+koszul.build_complex(lam, 0)
+f = koszul.build_complex
+e1_page((lam, t))
+"""
+    assert sorted(build_complex_calls(source)) == ["build_complex@4", "build_complex@5"]
+
+
+def test_no_module_builds_a_page_with_the_down_twist():
+    violations = {
+        path.name: calls
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (calls := build_complex_calls(path.read_text()))
     }
     assert violations == {}
 

@@ -2,9 +2,12 @@ import functools
 import itertools
 import random
 
+import pytest
+
 from conftest import random_points, schur_value
 from dvschur.partitions import canonicalize, shifted_dual, weyl_dim
 from dvschur.schur import (
+    MAX_DIM,
     end_decomposition,
     lr_coefficients,
     pieri,
@@ -404,3 +407,13 @@ def test_weight_system_other_lengths():
         w: (2 if w == (1, 1, 1) else 1)
         for w in [(2, 1, 0), (2, 0, 1), (1, 2, 0), (0, 2, 1), (1, 0, 2), (0, 1, 2), (1, 1, 1)]
     }
+
+
+def test_weight_system_bound_is_inclusive():
+    # dimensions 1,999,404 and 2,000,376 straddle the bound; both are quick
+    below, above = (12, 7, 6, 6, 5, 0), (17, 6, 5, 2, 0)
+    assert weyl_dim(below) <= MAX_DIM < weyl_dim(above)
+    assert sum(k for _, k in weight_system(below)) == weyl_dim(below)
+    with pytest.raises(ValueError, match=f"^weight \\(17,6,5,2,0\\) has dimension 2000376, "
+                                         f"above the bound {MAX_DIM} "):
+        weight_system(above)
