@@ -19,13 +19,11 @@ markdown and ``"w"`` in CSV (quoted even at length 1), an interval
 ``ext``, ``sym`` and ``table1`` alike, have one writer, ``_print_ext``.
 
 Every JSON report goes through one writer, ``_dump``, and is byte for byte
-``json.dumps(obj, sort_keys=True, indent=2)``.  From CPython 3.13 ``json``
-indents in C, and ``_dump`` is that call.  Before 3.13 ``json`` drops to its
-pure-Python encoder whenever ``indent`` is set, about a third of the run of
-``ext --lambda 8,4,2,0 --summands`` (a 0.7 MB report); there ``_dump`` is
-``_indented_json``, which joins each container's parts as strings in about
-half that time.  ``_indented_json`` goes once the floor in ``pyproject.toml``
-reaches 3.13.
+``json.dumps(obj, sort_keys=True, indent=2)``.  Before CPython 3.13 ``json``
+drops to its pure-Python encoder whenever ``indent`` is set, about a third of
+the run of ``ext --lambda 8,4,2,0 --summands`` (a 0.7 MB report); ``_dump``
+joins each container's parts as strings in about half that time, and does so
+on every interpreter, so one code path writes every report.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ def _rational(x: Fraction) -> str | int:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _indented_json(obj, pad: str = "\n") -> str:
+def _dump(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` for ``str``-keyed payloads.
 
     Plain ints are written with ``repr`` and keys with ``json``'s own
@@ -61,19 +59,13 @@ def _indented_json(obj, pad: str = "\n") -> str:
         return repr(obj)
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
-        parts = [f"{encode_basestring_ascii(k)}: {_indented_json(v, inner)}"
+        parts = [f"{encode_basestring_ascii(k)}: {_dump(v, inner)}"
                  for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(parts) + pad + "}"
     if isinstance(obj, (list, tuple)) and obj:
-        parts = [_indented_json(v, inner) for v in obj]
+        parts = [_dump(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(parts) + pad + "]"
     return json.dumps(obj)
-
-
-def _dump(obj) -> str:
-    if sys.version_info >= (3, 13):
-        return json.dumps(obj, sort_keys=True, indent=2)
-    return _indented_json(obj)
 
 
 def _decomposition_json(terms) -> list[dict]:
@@ -171,7 +163,7 @@ def _warn_unmatched(args, overrides, chased) -> None:
         for i, ov in enumerate(overrides):
             if (ov.q_weight, ov.twist) not in chased:
                 print(f"warning: override {i}: no summand chased here has q_weight "
-                      f"{format_weight(ov.q_weight)} and twist {ov.twist}", file=sys.stderr)
+                      f"({format_weight(ov.q_weight)}) and twist {ov.twist}", file=sys.stderr)
 
 
 # Every flag a subcommand may take, with its ``add_argument`` keywords.

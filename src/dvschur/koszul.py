@@ -19,7 +19,7 @@ import json
 from functools import cache
 
 from .bwb import DIM_GR, bott
-from .partitions import Weight, check_dominant, is_dominant, normalize, open_data, record
+from .partitions import Weight, check_dominant, normalize, open_data, record
 from .partitions import reflect, shifted_dual, weyl_product
 from .plethysm import WEDGE_RANK, koszul_factor_table
 
@@ -44,9 +44,7 @@ class RankOverride:
     note: str = ""
 
     def __post_init__(self):
-        if len(self.q_weight) != 4 or not is_dominant(self.q_weight):  # no page has it
-            raise ValueError(f"q_weight {self.q_weight} is not dominant of length 4")
-        q_weight, twist = normalize(tuple(self.q_weight), self.twist)
+        q_weight, twist = normalize(check_dominant(self.q_weight, 4), self.twist)
         object.__setattr__(self, "q_weight", q_weight)  # frozen: set once, here
         object.__setattr__(self, "twist", twist)
         p, q = self.source

@@ -50,14 +50,19 @@ def is_dominant(w: Weight) -> bool:
 
 
 def check_dominant(w, length: int | None = None) -> Weight:
-    """Validate and normalise a weight argument; raises ValueError otherwise."""
-    w = tuple(int(x) for x in w)
+    """Validate a weight argument and return it as a tuple; raises ValueError
+    unless every entry is an ``int`` (``bool`` is not), the length is
+    ``length`` when given, and the entries weakly decrease."""
+    w = tuple(w)
+    for x in w:
+        if type(x) is not int:
+            raise ValueError(f"weight entry {x!r} is not an integer")
     if length is not None and len(w) != length:
-        raise ValueError(f"expected a weight of length {length}, got {w}")
+        raise ValueError(f"expected a weight of length {length}, got ({format_weight(w)})")
     if not w:
         raise ValueError("empty weight")
     if not is_dominant(w):
-        raise ValueError(f"weight entries must be weakly decreasing: {w}")
+        raise ValueError(f"weight entries must be weakly decreasing: ({format_weight(w)})")
     return w
 
 
@@ -71,6 +76,7 @@ def parse_weight(text: str, length: int | None = None) -> Weight:
 
 
 def format_weight(w: Weight) -> str:
+    """``a,b,c,d``; every message prints a weight as ``(a,b,c,d)``."""
     return ",".join(str(x) for x in w)
 
 

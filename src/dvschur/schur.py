@@ -53,7 +53,7 @@ class EndSummand:
 
 def _pad(w: Weight, rank: int) -> Weight:
     if len(w) > rank:
-        raise ValueError(f"weight {w} longer than rank {rank}")
+        raise ValueError(f"weight ({format_weight(w)}) longer than rank {rank}")
     return tuple(w) + (0,) * (rank - len(w))
 
 

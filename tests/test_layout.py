@@ -13,6 +13,9 @@ Pages are built as ``e1_page((q_weight, twist))``, the twist a power of O(1):
 no module in ``src/dvschur/`` calls ``koszul.build_complex``, which takes
 O(-d) and stays only for ``bench/child.py``.
 
+Every report is written by one code path on every CPython: no module in
+``src/dvschur/`` reads ``sys.version_info``.
+
 A cold start imports only what the CLI runs: neither ``dataclasses`` (which
 pulls in ``inspect``) nor ``importlib.resources``.
 """
@@ -176,6 +179,38 @@ def test_no_module_builds_a_page_with_the_down_twist():
         path.name: calls
         for path in sorted(PACKAGE.glob("*.py"))
         if (calls := build_complex_calls(path.read_text()))
+    }
+    assert violations == {}
+
+
+def version_reads(source: str) -> list[str]:
+    """Every reach of ``version_info``, as an attribute or imported from sys."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "version_info":
+            found.append(f"version_info@{node.lineno}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            found += [f"version_info@{node.lineno}" for a in node.names
+                      if a.name == "version_info"]
+    return found
+
+
+def test_guard_catches_version_reads():
+    source = """
+import sys
+from sys import version_info as v
+if sys.version_info >= (3, 13):
+    pass
+sys.version
+"""
+    assert sorted(version_reads(source)) == ["version_info@3", "version_info@4"]
+
+
+def test_no_module_branches_on_the_python_version():
+    violations = {
+        path.name: reads
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (reads := version_reads(path.read_text()))
     }
     assert violations == {}
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dvschur.bwb import BottCohomology
-from dvschur.ext import ExtReport
+from dvschur.ext import ExtReport, ext_groups
 from dvschur.koszul import ChaseResult, Cohomology, Conflict, E1Page, RankOverride
 from dvschur.koszul import chase_summand
 from dvschur.partitions import (
     CanonicalQPartition,
     canonicalize,
+    check_dominant,
     dual,
     format_weight,
     parse_weight,
@@ -118,6 +120,16 @@ def test_parse_and_format():
         parse_weight("1,2,3,4")
     with pytest.raises(ValueError):
         parse_weight("3,2,1", length=4)
+
+
+@pytest.mark.parametrize("entry", [2.7, 2.0, "2", True])
+def test_check_dominant_refuses_non_integer_entries(entry):
+    # refused, not truncated: (2.7,1,0,0) is not a name of (2,1,0,0)
+    message = f"^weight entry {re.escape(repr(entry))} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        check_dominant((entry, 1, 0, 0), 4)
+    with pytest.raises(ValueError, match=message):
+        ext_groups((entry, 1, 0, 0))
 
 
 def brute_reflect(w):
