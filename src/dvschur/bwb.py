@@ -16,6 +16,7 @@ the factor table, since the first page needs only degrees and dimensions.
 from __future__ import annotations
 
 from functools import cache
+from operator import sub
 
 from .partitions import Weight, check_dominant, record, reflect, weyl_product
 
@@ -43,5 +44,5 @@ def bott(lam: Weight, mu: Weight) -> BottCohomology | None:
     if r is None:
         return None
     inversions, s = r
-    weight = tuple(x - RHO[i] for i, x in enumerate(s))
+    weight = tuple(map(sub, s, RHO))
     return BottCohomology(inversions, weight, weyl_product(s))

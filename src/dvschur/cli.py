@@ -10,6 +10,8 @@ chased summand draws a ``warning:`` line on standard error.
 
 Each subcommand is declared once, in ``_COMMANDS`` (name, help, handler, flags),
 and each flag once, in ``_OPTIONS``; ``build_parser`` and ``main`` read both.
+``main`` builds the subparser of the invoked subcommand alone, with the usage
+line and every message unchanged.
 
 Every markdown table and CSV listing goes through one writer, ``_table``,
 and every cell through one rule, ``_cell``: a weight tuple is ``(w)`` in
@@ -190,14 +192,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; when ``command`` names a subcommand, only its subparser."""
     parser = _Parser(
         prog="dvschur",
         description="Exact cohomology of Schur functors of the quotient bundle "
         "on the very general Debarre-Voisin fourfold.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, (text, _, flags) in _COMMANDS.items():
+    chosen = {command: _COMMANDS[command]} if command in _COMMANDS else _COMMANDS
+    # with one subparser the usage line must still list every subcommand
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(chosen) == 1 else None
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (text, _, flags) in chosen.items():
         sub = subs.add_parser(name, help=text)
         for flag in flags:
             sub.add_argument(flag, **_OPTIONS[flag])
@@ -402,13 +408,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     _, handler, _ = _COMMANDS[args.command]
     try:
         code = handler(args)
         sys.stdout.flush()  # a closed pipe fails here or in print
     except ValueError as exc:  # koszul.OverrideError is one
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:  # koszul.alternating_sum's sign is a float
+        print(f"error: {exc} (a page's Euler characteristic is a float)", file=sys.stderr)
         return 1
     except BrokenPipeError:  # quiet the flush at exit: the Python signal docs' recipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import os
 from functools import cache
+from itertools import combinations, starmap
+from operator import add, lt
 
 Weight = tuple[int, ...]
 
@@ -177,13 +179,14 @@ def reflect(w) -> tuple[int, list[int]] | None:
     vector on a wall: returns None.  Otherwise returns the number of
     inversions of the shifted vector (the length of the sorting permutation)
     and the shifted vector sorted decreasingly; subtracting the staircase
-    from it gives the dominant weight of the orbit.
+    from it gives the dominant weight of the orbit.  Pairs are compared in C
+    (``starmap`` over ``combinations``), with the double loop's result.
     """
     n = len(w)
-    v = [x + n - 1 - i for i, x in enumerate(w)]
+    v = list(map(add, w, range(n - 1, -1, -1)))
     if len(set(v)) < n:
         return None
-    inversions = sum(v[i] < v[j] for i in range(n) for j in range(i + 1, n))
+    inversions = sum(starmap(lt, combinations(v, 2)))
     v.sort(reverse=True)
     return inversions, v
 

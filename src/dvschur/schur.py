@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product
+from operator import add, sub
 
 from .partitions import (
     CanonicalQPartition,
@@ -75,7 +76,7 @@ def lr_coefficients(lam: Weight, mu: Weight, rank: int) -> Decomposition:
     if weyl_dim(mu) >= weyl_dim(lam):
         lam, mu = mu, lam
     return klimyk_sum(
-        ([a + b for a, b in zip(lam, w)], k) for w, k in weight_system(mu)
+        (list(map(add, lam, w)), k) for w, k in weight_system(mu)
     )
 
 
@@ -95,8 +96,7 @@ def klimyk_sum(terms) -> Decomposition:
         if r is None:
             continue
         inversions, v = r
-        top = len(v) - 1  # the staircase is (top, ..., 0)
-        nu = tuple(x - top + i for i, x in enumerate(v))
+        nu = tuple(map(sub, v, range(len(v) - 1, -1, -1)))  # minus the staircase
         out[nu] = out.get(nu, 0) + (-k if inversions % 2 else k)
     return {nu: n for nu, n in out.items() if n}
 

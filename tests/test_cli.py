@@ -520,16 +520,35 @@ PARSER_OPTIONS = {
 ACTIONS = {argparse._StoreAction: "store", argparse._StoreTrueAction: "store_true"}
 
 
-def test_parser_option_sets():
-    parser = build_parser()
+def option_sets(parser):
     [subs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    found = {
+    return {
         name: [(*a.option_strings, a.dest, a.required, a.default, a.type, a.choices,
                 ACTIONS[type(a)], a.metavar)
                for a in sub._actions if not isinstance(a, argparse._HelpAction)]
         for name, sub in subs.choices.items()
     }
-    assert list(found.items()) == list(PARSER_OPTIONS.items())
+
+
+def test_parser_option_sets():
+    assert list(option_sets(build_parser()).items()) == list(PARSER_OPTIONS.items())
+    # main builds the invoked subcommand's parser alone, with the same options
+    for name in cli._COMMANDS:
+        assert option_sets(build_parser(name)) == {name: PARSER_OPTIONS[name]}
+
+
+@pytest.mark.parametrize("argv", [
+    "table1 --bogus", "ext", "ext --lambda", "ext --lambda 1,0,0,0 --format xml", "bogus",
+    "", "sym --m x", "table1 --overrides paper-4.2 --format csv extra", "--help",
+    "table1 --help", "-h table1",
+])
+def test_one_subparser_prints_what_the_full_parser_prints(capsys, argv):
+    seen = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as info:
+            parse(shlex.split(argv))
+        seen.append((info.value.code, capsys.readouterr()))
+    assert seen[0] == seen[1]
 
 
 # keys and strings with non-ASCII characters, quotes, backslashes and control
@@ -580,6 +599,15 @@ def test_weight_above_the_dimension_bound_exit_one(capsys, argv):
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("error: weight (")
     assert f"above the bound {MAX_DIM} " in captured.err
+
+
+def test_euler_overflow_exit_one(capsys):
+    # the page's alternating sum multiplies its dimensions by a float sign
+    assert main(["cohomology", "--lambda", "0,0,0,0", "--twist", HUGE]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: int too large to convert to float "
+                            "(a page's Euler characteristic is a float)\n")
 
 
 def test_weight_below_the_dimension_bound_runs(capsys):

@@ -151,6 +151,29 @@ def test_reflect_matches_brute_force(w):
     assert reflect(tuple(w)) == brute_reflect(w)
 
 
+def bubble_reflect(w):
+    """The dot action by bubble sort: each swap of neighbours out of
+    decreasing order is one inversion; equal neighbours at the end are a wall."""
+    v = [x + len(w) - 1 - i for i, x in enumerate(w)]
+    swaps = 0
+    for end in range(len(v) - 1, 0, -1):
+        for i in range(end):
+            if v[i] < v[i + 1]:
+                v[i], v[i + 1] = v[i + 1], v[i]
+                swaps += 1
+    if any(a == b for a, b in zip(v, v[1:])):
+        return None
+    return swaps, v
+
+
+# random entries mostly land on a wall; a permuted staircase never does
+@given(st.lists(st.integers(-6, 6), min_size=10, max_size=10)
+       | st.permutations(range(10)).map(lambda v: [x - 9 + i for i, x in enumerate(v)]))
+def test_reflect_at_the_page_length(w):
+    # koszul.e1_page reflects GL(10) weights, past the brute force's reach
+    assert reflect(tuple(w)) == bubble_reflect(w)
+
+
 def test_reflect_examples():
     assert reflect((2, 1, 0)) == (0, [4, 2, 0])
     # (0,2) + (1,0) = (1,2): one transposition, dominant weight (1,1)
