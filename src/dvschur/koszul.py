@@ -44,11 +44,14 @@ class RankOverride:
     note: str = ""
 
     def __post_init__(self):
+        (p, q), (pp, qq) = self.source, self.target
+        for name, value in (("twist", self.twist), ("rank", self.rank), ("source.p", p),
+                            ("source.q", q), ("target.p", pp), ("target.q", qq)):
+            if type(value) is not int:  # bool is not
+                raise ValueError(f"field {name!r} is not an integer: {value!r}")
         q_weight, twist = normalize(check_dominant(self.q_weight, 4), self.twist)
         object.__setattr__(self, "q_weight", q_weight)  # frozen: set once, here
         object.__setattr__(self, "twist", twist)
-        p, q = self.source
-        pp, qq = self.target
         if not (p > pp and (q - qq) == (p - pp) - 1):
             raise ValueError(
                 f"illegal differential position {self.source} -> {self.target}"
@@ -264,8 +267,8 @@ def chase_summand(q_weight: Weight, twist: int, overrides=()) -> ChaseResult:
 
 
 def _override_from_json(obj, index: int) -> RankOverride:
-    """Entry ``index`` of an override list; a missing or mistyped field
-    raises OverrideError naming the entry and the field."""
+    """Entry ``index`` of an override list; a missing field, or one that
+    ``RankOverride`` refuses, raises OverrideError naming the entry."""
 
     def field(*path):
         value = obj
@@ -276,39 +279,21 @@ def _override_from_json(obj, index: int) -> RankOverride:
             value = value[key]
         return value
 
-    def integer(*path):
-        value = field(*path)
-        if type(value) is not int:
-            raise OverrideError(
-                f"override {index}: field {'.'.join(path)!r} is not an integer: {value!r}"
-            )
-        return value
-
     weight = field("q_weight")
-    if not isinstance(weight, list) or any(type(x) is not int for x in weight):
+    if not isinstance(weight, list):
         raise OverrideError(
             f"override {index}: field 'q_weight' is not a list of integers: {weight!r}"
         )
-    twist, rank = integer("twist"), integer("rank")
-    source = (integer("source", "p"), integer("source", "q"))
-    target = (integer("target", "p"), integer("target", "q"))
+    twist, rank = field("twist"), field("rank")
+    source = (field("source", "p"), field("source", "q"))
+    target = (field("target", "p"), field("target", "q"))
     note = obj.get("note", "")
     if not isinstance(note, str):  # the chase cache hashes every override
         raise OverrideError(f"override {index}: field 'note' is not a string: {note!r}")
     try:
         return RankOverride(tuple(weight), twist, source, target, rank, note)
-    except ValueError as exc:  # bad q_weight, illegal differential position or rank
+    except ValueError as exc:  # a field RankOverride refuses
         raise OverrideError(f"override {index}: {exc}") from None
-
-
-def _overrides_from_json(items) -> tuple[RankOverride, ...]:
-    out = tuple(_override_from_json(obj, i) for i, obj in enumerate(items))
-    seen: dict[tuple, int] = {}  # chase keeps one override per differential
-    for j, ov in enumerate(out):
-        i = seen.setdefault((ov.q_weight, ov.twist, ov.source, ov.target), j)
-        if i != j:
-            raise OverrideError(f"override {j}: same differential as override {i}")
-    return out
 
 
 PRESETS = {"paper-4.2": "overrides_paper42.json"}
@@ -336,4 +321,10 @@ def load_overrides(source: str) -> tuple[RankOverride, ...]:
     items = data.get("overrides") if isinstance(data, dict) else data
     if not isinstance(items, list):
         raise OverrideError(f"{source}: expected a list of overrides")
-    return _overrides_from_json(items)
+    out = tuple(_override_from_json(obj, i) for i, obj in enumerate(items))
+    seen: dict[tuple, int] = {}  # chase keeps one override per differential
+    for j, ov in enumerate(out):
+        i = seen.setdefault((ov.q_weight, ov.twist, ov.source, ov.target), j)
+        if i != j:
+            raise OverrideError(f"override {j}: same differential as override {i}")
+    return out

@@ -58,6 +58,11 @@ def _pad(w: Weight, rank: int) -> Weight:
     return tuple(w) + (0,) * (rank - len(w))
 
 
+# The largest rank of a product.  Measured cold through the CLI (CPython 3.11,
+# 2 vCPUs): (2,1) x (2,1) takes 2.6 s at rank 64 and 26 s at rank 100.
+MAX_RANK = 64
+
+
 def lr_coefficients(lam: Weight, mu: Weight, rank: int) -> Decomposition:
     """Littlewood-Richardson multiplicities of Sigma_lam x Sigma_mu for GL(rank).
 
@@ -71,6 +76,8 @@ def lr_coefficients(lam: Weight, mu: Weight, rank: int) -> Decomposition:
     """
     if rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
+    if rank > MAX_RANK:
+        raise ValueError(f"rank must be at most {MAX_RANK}, got {rank}")
     lam = check_dominant(_pad(tuple(lam), rank))
     mu = check_dominant(_pad(tuple(mu), rank))
     if weyl_dim(mu) >= weyl_dim(lam):

@@ -32,7 +32,8 @@ from dvschur.partitions import canonicalize, dual, weyl_dim
 from dvschur.reference import diff_against_paper, koszul_reference
 from dvschur.ring import atomicity_report, ch_oracle, extended_vector_candidate
 from test_plethysm import decompose_wedge_power
-from test_ring import chi_endo_closed, delta_poly, ell_poly, rank_poly
+from test_ring import canonical_triples, chi_endo_closed, delta_poly, ell_poly, rank_poly
+from test_schur import small_partitions
 
 CRITERION_2_ROWS = {
     (1, 0, 0, 0): (1, 0, 1),
@@ -202,24 +203,11 @@ def test_criterion_6_chi_cross_module(preset):
     assert not failures, failures
 
 
-def _partitions_up_to(size, parts):
-    out = [()]
-
-    def grow(prefix, left, cap):
-        for v in range(min(left, cap), 0, -1):
-            if len(prefix) < parts:
-                out.append(prefix + (v,))
-                grow(prefix + (v,), left - v, v)
-
-    grow((), size, size)
-    return out
-
-
 def test_criterion_7a_lr_bookkeeping():
     failures = 0
     checked = 0
     for rank in (2, 3, 4):
-        parts = [p for p in _partitions_up_to(8, rank)]
+        parts = small_partitions(8, rank)
         for lam in parts:
             for mu in parts:
                 dec = schur.lr_coefficients(lam, mu, rank)
@@ -302,23 +290,19 @@ def test_criterion_7d_shift_identity():
 
 def test_criterion_7e_chern_degree_012():
     failures = []
-    for m in range(7):
-        for t in range(m + 1):
-            for s in range(t + 1):
-                if t + s > m:
-                    continue
-                r = rank_poly(m, t, s)
-                ell = ell_poly(m, t, s)
-                delta = delta_poly(m, t, s)
-                got = ch_oracle((m, t, s, 0))
-                ok = (
-                    got.one == r
-                    and got.h == ell * r
-                    and got.ch2 == delta * r
-                    and got.h2 == (ell * ell - delta / 4) * r / 2
-                )
-                if not ok:
-                    failures.append(str((m, t, s)))
+    for m, t, s in canonical_triples(6):
+        r = rank_poly(m, t, s)
+        ell = ell_poly(m, t, s)
+        delta = delta_poly(m, t, s)
+        got = ch_oracle((m, t, s, 0))
+        ok = (
+            got.one == r
+            and got.h == ell * r
+            and got.ch2 == delta * r
+            and got.h2 == (ell * ell - delta / 4) * r / 2
+        )
+        if not ok:
+            failures.append(str((m, t, s)))
     report("7e (Chern degrees 0-2)", not failures, "all m <= 6")
     assert not failures, failures
 
@@ -344,30 +328,26 @@ def _is_rational_square(x: Fraction) -> bool:
 def test_criterion_8_atomicity():
     failures = []
     square_passers = []
-    for m in range(7):
-        for t in range(m + 1):
-            for s in range(t + 1):
-                if t + s > m:
-                    continue
-                rep = atomicity_report((m, t, s, 0))
-                ratio = Fraction(chi_endo_closed(m, t, s), 3 * rank_poly(m, t, s) ** 2)
-                if rep.necessary_pass != _is_rational_square(ratio):
-                    failures.append(f"{(m, t, s)}: square test disagrees on {ratio}")
-                if t == 0 and s == 0:
-                    if not (rep.atomic and rep.necessary_pass and rep.sym_certificate):
-                        failures.append(f"{(m, 0, 0)} should be atomic")
-                    continue
-                if rep.atomic:
-                    failures.append(f"{(m, t, s)} should not be atomic")
-                if rep.sym_certificate is not None:
-                    failures.append(f"{(m, t, s)} has an unexpected certificate")
-                if rep.necessary_pass:
-                    square_passers.append((m, t, s))
-                    if extended_vector_candidate(rep.canonical.weight) is not None:
-                        failures.append(
-                            f"{(m, t, s)}: neither the square test nor the "
-                            "certificate fails"
-                        )
+    for m, t, s in canonical_triples(6):
+        rep = atomicity_report((m, t, s, 0))
+        ratio = Fraction(chi_endo_closed(m, t, s), 3 * rank_poly(m, t, s) ** 2)
+        if rep.necessary_pass != _is_rational_square(ratio):
+            failures.append(f"{(m, t, s)}: square test disagrees on {ratio}")
+        if t == 0 and s == 0:
+            if not (rep.atomic and rep.necessary_pass and rep.sym_certificate):
+                failures.append(f"{(m, 0, 0)} should be atomic")
+            continue
+        if rep.atomic:
+            failures.append(f"{(m, t, s)} should not be atomic")
+        if rep.sym_certificate is not None:
+            failures.append(f"{(m, t, s)} has an unexpected certificate")
+        if rep.necessary_pass:
+            square_passers.append((m, t, s))
+            if extended_vector_candidate(rep.canonical.weight) is not None:
+                failures.append(
+                    f"{(m, t, s)}: neither the square test nor the "
+                    "certificate fails"
+                )
     # chi(End(2,1,0,0)) is pinned by the published row (1,20,401)
     hom, ext1, ext2 = CRITERION_2_ROWS[(2, 1, 0, 0)]
     chi = hom - ext1 + ext2 - ext1 + hom

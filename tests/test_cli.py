@@ -15,7 +15,10 @@ from dvschur.cli import build_parser, main
 from dvschur.ext import ext_groups
 from dvschur.koszul import load_overrides
 from dvschur.ring import ch_oracle
-from dvschur.schur import MAX_DIM
+from dvschur.schur import MAX_DIM, MAX_RANK
+
+# subprocesses run the package this session imported, in the checkout or installed
+PACKAGE_PARENT = str(pathlib.Path(cli.__file__).parents[1])
 
 
 def run(capsys, *argv):
@@ -71,6 +74,24 @@ def test_non_positive_rank_exit_one(capsys, argv, rank):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: rank must be at least 1, got {rank}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lr", "--lambda", "1", "--mu", "1"],
+    ["pieri", "--lambda", "1", "--boxes", "1"],
+], ids=["lr", "pieri"])
+def test_rank_above_the_bound_exit_one(capsys, argv):
+    # refused before any work: rank 500 ran past 20 s with no word
+    for rank in (MAX_RANK + 1, 500):
+        assert main([*argv, "--rank", str(rank)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: rank must be at most {MAX_RANK}, got {rank}\n"
+    code, out = run(capsys, *argv, "--rank", str(MAX_RANK), "--format", "json")
+    assert code == 0
+    assert [term["weight"] for term in json.loads(out)["terms"]] == [
+        [2] + [0] * (MAX_RANK - 1), [1, 1] + [0] * (MAX_RANK - 2)
+    ]
 
 
 def test_unknown_preset_rejected_before_computation(capsys):
@@ -401,8 +422,7 @@ def test_readme_commands_run(capsys):
 
 def test_closed_pipe_exits_one_quietly():
     # the report (about 0.7 MB) outgrows the pipe buffer, so a write fails
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT)
     proc = subprocess.Popen(
         [sys.executable, "-m", "dvschur.cli", "ext", "--lambda", "8,4,2,0", "--summands"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
@@ -426,8 +446,7 @@ def test_override_file_is_utf8_in_an_ascii_locale(tmp_path, note, code, err):
         "q_weight": [5, 5, 2, 0], "twist": -3, "source": {"p": 11, "q": 12},
         "target": {"p": 9, "q": 11}, "rank": 1, "note": "NOTE",
     }]).encode().replace(b"NOTE", note))
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), LC_ALL="C",
+    env = dict(os.environ, PYTHONPATH=PACKAGE_PARENT, LC_ALL="C",
                PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
     proc = subprocess.run(
         [sys.executable, "-m", "dvschur.cli", "cohomology", "--lambda", "5,5,2,0",
@@ -535,6 +554,16 @@ def test_parser_option_sets():
     # main builds the invoked subcommand's parser alone, with the same options
     for name in cli._COMMANDS:
         assert option_sets(build_parser(name)) == {name: PARSER_OPTIONS[name]}
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # the console script calls main() with no argument; a usage error still
+    # lists every subcommand
+    monkeypatch.setattr(sys, "argv", ["dvschur", "table1", "--bogus"])
+    with pytest.raises(SystemExit) as info:
+        main()
+    assert info.value.code == 1
+    assert "{" + ",".join(cli._COMMANDS) + "}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

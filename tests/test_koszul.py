@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 
@@ -164,6 +165,26 @@ def test_override_validation():
     # a rank-0 override asserts nothing, so it may name a pair that is absent
     unused = RankOverride((5, 5, 2, 0), -3, (12, 13), (9, 11), 0)
     assert chase(page, (unused,)) == chase(page)
+
+
+@pytest.mark.parametrize("args, message", [
+    # a half-integer rank would chase to a half-integer interval
+    (((5, 5, 2, 0), -3, (11, 12), (9, 11), 219.5), "field 'rank' is not an integer: 219.5"),
+    (((5, 5, 2, 0), True, (11, 12), (9, 11), 1), "field 'twist' is not an integer: True"),
+    (((5, 5, 2, 0), -3, ("a", 12), (9, 11), 1), "field 'source.p' is not an integer: 'a'"),
+], ids=["half-integer-rank", "bool-twist", "string-position"])
+def test_override_fields_are_integers(tmp_path, args, message):
+    # RankOverride is the one validator: the JSON reader names the entry
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RankOverride(*args)
+    weight, twist, (p, q), (pp, qq), rank = args
+    path = tmp_path / "ov.json"
+    path.write_text(json.dumps([{
+        "q_weight": list(weight), "twist": twist, "rank": rank,
+        "source": {"p": p, "q": q}, "target": {"p": pp, "q": qq},
+    }]))
+    with pytest.raises(OverrideError, match=f"^override 0: {re.escape(message)}$"):
+        load_overrides(str(path))
 
 
 def test_stray_cohomology_blames_override_only_when_one_applied():

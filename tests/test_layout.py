@@ -26,6 +26,8 @@ import pathlib
 import subprocess
 import sys
 
+import dvschur
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dvschur"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
@@ -228,7 +230,8 @@ def test_cold_start_imports_neither_dataclasses_nor_importlib_resources():
         "loaded = {'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)\n"
         "assert not loaded, sorted(loaded)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # the package this session imported, in the checkout or installed
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(dvschur.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
     )
