@@ -15,20 +15,17 @@ the factor table, since the first page needs only degrees and dimensions.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 from operator import sub
 
-from .partitions import Weight, check_dominant, record, reflect, weyl_product
+from .partitions import Weight, check_dominant, reflect, weyl_product
 
 RHO = (9, 8, 7, 6, 5, 4, 3, 2, 1, 0)
 DIM_GR = 24
 
 
-@record
-class BottCohomology:
-    degree: int
-    gl10_weight: Weight
-    dim: int
+BottCohomology = namedtuple("BottCohomology", "degree gl10_weight dim")
 
 
 @cache

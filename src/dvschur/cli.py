@@ -39,7 +39,7 @@ from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
 
 from . import bwb, ext, koszul, plethysm, reference, ring, schur
-from .partitions import canonicalize, format_weight, normalize, parse_weight
+from .partitions import format_weight, normalize, parse_weight
 
 __all__ = ["main"]
 
@@ -107,17 +107,13 @@ def _values_json(values) -> list:
 
 
 def _conflicts_json(result: koszul.ChaseResult) -> list[dict]:
-    return [
-        {"source": c.source, "target": c.target, "page": c.page, "cap": c.cap}
-        for c in result.conflicts
-    ]
+    return [c._asdict() for c in result.conflicts]
 
 
 def _ext_json(report: ext.ExtReport, with_summands: bool) -> dict:
-    c = report.canonical
     out = {
         "lambda": report.lam,
-        "canonical": {"m": c.m, "t": c.t, "s": c.s, "twist": c.twist},
+        "canonical": report.canonical._asdict(),
         "ext": _values_json(report.values),
         "exact": report.exact,
         "bounded_degrees": report.bounded_degrees(),
@@ -343,13 +339,12 @@ def _cmd_table1(args) -> int:
 
 def _cmd_chern(args) -> int:
     lam = parse_weight(args.lam, 4)
-    c = canonicalize(lam)
     ch = ring.ch_oracle(lam)
     delta = ring.discriminant(lam)
     report = ring.atomicity_report(lam)
     print(_dump({
         "lambda": lam,
-        "canonical": {"m": c.m, "t": c.t, "s": c.s, "twist": c.twist},
+        "canonical": report.canonical._asdict(),
         "rank": int(ch.one),
         "ch": {
             "0": _rational(ch.one),

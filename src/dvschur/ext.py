@@ -8,10 +8,12 @@ degrees interval-valued.
 
 from __future__ import annotations
 
-from .koszul import ChaseResult, Cohomology, chase_summand, serre_partner
-from .partitions import CanonicalQPartition, Weight, canonicalize, check_dominant, record
+from collections import namedtuple
+
+from .koszul import Cohomology, chase_summand, serre_partner
+from .partitions import Weight, canonicalize, check_dominant
 from .ring import chi_endo
-from .schur import EndSummand, end_decomposition
+from .schur import end_decomposition
 
 # The published rows: every canonical weight (m,t,s,0), m >= t >= s >= 0 and
 # m >= t+s, with 1 <= m <= 4, in lexicographic order.
@@ -21,14 +23,13 @@ TABLE1_ROWS: tuple[Weight, ...] = tuple(
 )
 
 
-@record
-class ExtReport(Cohomology):
-    """Ext dimensions in degrees 0..4: the summands' values with multiplicity."""
+class ExtReport(namedtuple("ExtReport", "values lam canonical summands chi_check"),
+                Cohomology):
+    """Ext dimensions in degrees 0..4: the summands' values with multiplicity.
+    ``canonical`` is the ``CanonicalQPartition`` of ``lam``, ``summands`` the
+    (``EndSummand``, ``ChaseResult``) pairs, ``chi_check`` chi(End) by HRR."""
 
-    lam: Weight
-    canonical: CanonicalQPartition
-    summands: tuple[tuple[EndSummand, ChaseResult], ...]
-    chi_check: int
+    __slots__ = ()
 
     def conflicts(self):
         return [(s.normalized(), c) for s, res in self.summands for c in res.conflicts]

@@ -16,10 +16,11 @@ conflicts unless an externally justified override supplies the rank.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from functools import cache
 
 from .bwb import DIM_GR, bott
-from .partitions import Weight, check_dominant, normalize, open_data, record
+from .partitions import Weight, check_dominant, normalize, open_data
 from .partitions import reflect, shifted_dual, weyl_product
 from .plethysm import WEDGE_RANK, koszul_factor_table
 
@@ -27,37 +28,29 @@ Position = tuple[int, int]
 MAX_DEGREE = 4
 
 
-@record
-class RankOverride:
+class RankOverride(namedtuple("RankOverride", "q_weight twist source target rank note")):
     """Externally asserted rank of one potential differential.
 
     ``q_weight`` and ``twist`` name the summand up to the determinant and
     are stored ``normalize``d (twist is the power of O(1), so a bundle
-    twisted by O(-3) has twist -3).
+    twisted by O(-3) has twist -3); ``source`` and ``target`` are positions.
     """
 
-    q_weight: Weight
-    twist: int
-    source: Position
-    target: Position
-    rank: int
-    note: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        (p, q), (pp, qq) = self.source, self.target
-        for name, value in (("twist", self.twist), ("rank", self.rank), ("source.p", p),
+    def __new__(cls, q_weight: Weight, twist: int, source: Position, target: Position,
+                rank: int, note: str = ""):
+        (p, q), (pp, qq) = source, target
+        for name, value in (("twist", twist), ("rank", rank), ("source.p", p),
                             ("source.q", q), ("target.p", pp), ("target.q", qq)):
             if type(value) is not int:  # bool is not
                 raise ValueError(f"field {name!r} is not an integer: {value!r}")
-        q_weight, twist = normalize(check_dominant(self.q_weight, 4), self.twist)
-        object.__setattr__(self, "q_weight", q_weight)  # frozen: set once, here
-        object.__setattr__(self, "twist", twist)
+        q_weight, twist = normalize(check_dominant(q_weight, 4), twist)
         if not (p > pp and (q - qq) == (p - pp) - 1):
-            raise ValueError(
-                f"illegal differential position {self.source} -> {self.target}"
-            )
-        if self.rank < 0:
+            raise ValueError(f"illegal differential position {source} -> {target}")
+        if rank < 0:
             raise ValueError("override rank must be nonnegative")
+        return super().__new__(cls, q_weight, twist, source, target, rank, note)
 
 
 class OverrideError(ValueError):
@@ -79,13 +72,11 @@ def alternating_sum(cells) -> int:
     return sum((-1) ** (q - p) * dim for (p, q), dim in cells)
 
 
-@record
-class E1Page:
-    """The first page: the nonzero positions (p, q), sorted, with dimensions."""
+class E1Page(namedtuple("E1Page", "q_weight twist entries")):
+    """The first page of Sigma_q_weight Q tensor O(twist), twist the power of
+    O(1): the nonzero positions (p, q), sorted, with dimensions."""
 
-    q_weight: Weight
-    twist: int  # the power of O(1)
-    entries: tuple[tuple[Position, int], ...]
+    __slots__ = ()
 
     @property
     def euler(self) -> int:
@@ -124,21 +115,15 @@ def constituents(page: E1Page, pos: Position) -> tuple[tuple[Weight, int], ...]:
     return tuple(out)
 
 
-@record
-class Conflict:
-    source: Position
-    target: Position
-    page: int
-    cap: int
+Conflict = namedtuple("Conflict", "source target page cap")
 
 
-@record
-class Cohomology:
+class Cohomology(namedtuple("Cohomology", "values")):
     """Dimensions in degrees 0..4: ``values[n] = (lo, hi)``, a single value
     when lo == hi, else a sound interval.  Exact means every degree is a
     single value, whatever conflicts a page listed on the way."""
 
-    values: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def exact(self) -> bool:
@@ -158,13 +143,11 @@ class Cohomology:
         return tuple(lo for lo, _ in self.values)
 
 
-@record
-class ChaseResult(Cohomology):
+class ChaseResult(namedtuple("ChaseResult", "values conflicts euler"), Cohomology):
     """The chase of one summand: each unresolved rank varies independently
     over [0, cap] of its conflict, which makes the intervals sound."""
 
-    conflicts: tuple[Conflict, ...]
-    euler: int
+    __slots__ = ()
 
     def serre_dual(self) -> ChaseResult:
         """The override-free chase of this summand's ``serre_partner``, exactly.

@@ -1,6 +1,6 @@
 """Dominant GL(n) weights: parsing, duality, canonical forms, Weyl dimensions;
-also the package's value-type decorator ``record`` and data reader
-``open_data``, which keep ``dataclasses`` and ``importlib.resources`` out.
+also the package's data reader ``open_data``, which keeps
+``importlib.resources`` out.
 
 A weight is a weakly decreasing tuple of integers (negative entries allowed).
 Length 4 indexes Schur functors of the rank-4 quotient bundle, length 6 the
@@ -11,6 +11,7 @@ Borel-Weil-Bott.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from functools import cache
 from itertools import combinations, starmap
 from operator import add, lt
@@ -21,30 +22,6 @@ Weight = tuple[int, ...]
 def open_data(name: str):
     """The package's data file ``data/<name>``, opened as UTF-8 text."""
     return open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8")
-
-
-def record(cls):
-    """A frozen dataclass without importing ``dataclasses``: a record base's
-    fields come first, a class attribute is its field's default,
-    ``__post_init__`` ends ``__init__``, instances of one class with equal
-    fields are equal and hash alike, and the repr is ``Name(f=v, ...)``."""
-    fields = getattr(cls, "_fields", ()) + tuple(cls.__dict__.get("__annotations__", ()))
-    args = ", ".join(f"{f}=cls.{f}" if hasattr(cls, f) else f for f in fields)
-    sets = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
-    post = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-    own, other = (", ".join(f"{x}.{f}" for f in fields) for x in ("self", "other"))
-    shown = ", ".join(f"{f}={{self.{f}!r}}" for f in fields)
-    methods = {"_fields": fields}
-    exec(f"""def __init__(self, {args}):{sets}{post}
-def __eq__(self, other):
-    return ({own},) == ({other},) if other.__class__ is self.__class__ else NotImplemented
-def __hash__(self): return hash(({own},))
-def __repr__(self): return f'{{self.__class__.__qualname__}}({shown})'
-def __setattr__(self, name, *value): raise AttributeError(f'cannot assign to field {{name!r}}')
-__delattr__ = __setattr__""", {"cls": cls, "_set": object.__setattr__}, methods)
-    for name, value in methods.items():
-        setattr(cls, name, value)
-    return cls
 
 
 def is_dominant(w: Weight) -> bool:
@@ -106,8 +83,7 @@ def shifted_dual(w: Weight) -> Weight:
     return tuple(top - x for x in reversed(w))
 
 
-@record
-class CanonicalQPartition:
+class CanonicalQPartition(namedtuple("CanonicalQPartition", "m t s twist")):
     """Normal form (m,t,s,0) with m >= t+s for a length-4 weight.
 
     ``twist`` is the power of O(1) factored out while normalising: the input
@@ -115,14 +91,12 @@ class CanonicalQPartition:
     tensor O(twist); either way its endomorphism bundle is the canonical one's.
     """
 
-    m: int
-    t: int
-    s: int
-    twist: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.m >= self.t >= self.s >= 0 and self.m >= self.t + self.s):
-            raise ValueError(f"not a canonical triple: {(self.m, self.t, self.s)}")
+    def __new__(cls, m: int, t: int, s: int, twist: int = 0):
+        if not (m >= t >= s >= 0 and m >= t + s):
+            raise ValueError(f"not a canonical triple: {(m, t, s)}")
+        return super().__new__(cls, m, t, s, twist)
 
     @property
     def weight(self) -> Weight:

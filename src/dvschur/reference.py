@@ -10,10 +10,11 @@ rather than as a mismatch, and any other value in that cell is a mismatch.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from functools import cache
 
 from .ext import ExtReport
-from .partitions import Weight, open_data, record
+from .partitions import Weight, open_data
 
 COLUMNS = ("hom", "ext1", "ext2")
 
@@ -51,13 +52,8 @@ def koszul_reference() -> tuple[frozenset[Weight], ...]:
     )
 
 
-@record
-class DiffCell:
-    lam: Weight
-    column: str
-    computed: object
-    printed: int | None
-    status: str  # match | mismatch | annotated | no-claim
+# status is one of match, mismatch, annotated, no-claim
+DiffCell = namedtuple("DiffCell", "lam column computed printed status")
 
 
 def diff_against_paper(reports: list[ExtReport]) -> list[DiffCell]:

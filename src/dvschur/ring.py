@@ -29,33 +29,22 @@ uses the Littlewood-Richardson split of End E: chi checks it and the chase.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from math import isqrt
 
-from .partitions import (
-    CanonicalQPartition,
-    Weight,
-    canonicalize,
-    check_dominant,
-    record,
-    weyl_dim,
-)
+from .partitions import Weight, canonicalize, check_dominant, weyl_dim
 from .schur import weight_system
 
 Q = Fraction
 
 
-@record
-class RingElement:
-    """A class in the 6-dimensional subring, coefficients over the fixed basis."""
+class RingElement(namedtuple("RingElement", "one h h2 ch2 ch3 pt", defaults=(Q(0),) * 6)):
+    """A class in the 6-dimensional subring: Fraction coefficients over the
+    fixed basis, each 0 unless given."""
 
-    one: Fraction = Q(0)
-    h: Fraction = Q(0)
-    h2: Fraction = Q(0)
-    ch2: Fraction = Q(0)
-    ch3: Fraction = Q(0)
-    pt: Fraction = Q(0)
+    __slots__ = ()
 
     def __add__(self, other: "RingElement") -> "RingElement":
         return RingElement(
@@ -223,13 +212,10 @@ def mukai_vector(lam: Weight) -> RingElement:
     return ch_oracle(check_dominant(lam, 4)) * SQRT_TODD
 
 
-@record
-class ExtendedMukaiVector:
+class ExtendedMukaiVector(namedtuple("ExtendedMukaiVector", "r ell s")):
     """(r, ell, s) with ell a degree-2 class; q(v) = q(ell) - 2 r s."""
 
-    r: Fraction
-    ell: RingElement
-    s: Fraction
+    __slots__ = ()
 
     def q_square(self) -> Fraction:
         return BBF_SQUARE_H * self.ell.h**2 - 2 * self.r * self.s
@@ -282,16 +268,10 @@ def is_rational_square(x: Fraction) -> bool:
     return isqrt(num) ** 2 == num and isqrt(den) ** 2 == den
 
 
-@record
-class AtomicityReport:
-    lam: Weight
-    canonical: CanonicalQPartition
-    rank: int
-    chi: int
-    ratio: Fraction
-    necessary_pass: bool
-    sym_certificate: bool | None
-    atomic: bool
+AtomicityReport = namedtuple(
+    "AtomicityReport",
+    "lam canonical rank chi ratio necessary_pass sym_certificate atomic",
+)
 
 
 def atomicity_report(lam: Weight) -> AtomicityReport:

@@ -15,6 +15,7 @@ All functions are pure; their memo caches are shared across calls.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 from itertools import product
 from operator import add, sub
@@ -25,7 +26,6 @@ from .partitions import (
     check_dominant,
     format_weight,
     normalize,
-    record,
     reflect,
     shifted_dual,
     weyl_dim,
@@ -40,13 +40,10 @@ Decomposition = dict[Weight, int]
 MAX_DIM = 2_000_000
 
 
-@record
-class EndSummand:
+class EndSummand(namedtuple("EndSummand", "q_weight twist multiplicity")):
     """One irreducible piece of End(Sigma_lambda Q), as Sigma_nu Q tensor O(twist)."""
 
-    q_weight: Weight
-    twist: int
-    multiplicity: int
+    __slots__ = ()
 
     def normalized(self) -> tuple[Weight, int]:
         return normalize(self.q_weight, self.twist)
@@ -59,7 +56,10 @@ def _pad(w: Weight, rank: int) -> Weight:
 
 
 # The largest rank of a product.  Measured cold through the CLI (CPython 3.11,
-# 2 vCPUs): (2,1) x (2,1) takes 2.6 s at rank 64 and 26 s at rank 100.
+# 2 vCPUs): (2,1) x (2,1) takes 2.6 s at rank 64 and 26 s at rank 100.  The
+# work follows the smaller factor's dimension times the rank, which is bounded
+# by 4 * MAX_DIM, rank 4's reach: (2,2) x (2,2) (213,200 x 40) took 2.4 s and
+# 464 MB at rank 40, the first rank refused, and ran past 30 s at rank 64.
 MAX_RANK = 64
 
 
@@ -67,7 +67,9 @@ def lr_coefficients(lam: Weight, mu: Weight, rank: int) -> Decomposition:
     """Littlewood-Richardson multiplicities of Sigma_lam x Sigma_mu for GL(rank).
 
     Klimyk's formula (``klimyk_sum``) over the weights w of the factor of
-    smaller dimension, each added to the other's highest weight.  On a tie
+    smaller dimension, each added to the other's highest weight; that
+    dimension times ``rank`` above 4 * ``MAX_DIM`` is refused with ValueError
+    before any work (at rank 4 this is ``weight_system``'s bound).  On a tie
     the first factor's weights are walked: ``end_decomposition(c)`` then
     reads the memoised ``weight_system(c.weight)`` that the HRR check
     ``ring.ch_oracle(c.weight)`` reads too, not the shifted dual's, so one
@@ -82,6 +84,10 @@ def lr_coefficients(lam: Weight, mu: Weight, rank: int) -> Decomposition:
     mu = check_dominant(_pad(tuple(mu), rank))
     if weyl_dim(mu) >= weyl_dim(lam):
         lam, mu = mu, lam
+    dim = weyl_dim(mu)
+    if dim * rank > 4 * MAX_DIM and dim <= MAX_DIM:  # past MAX_DIM weight_system refuses
+        raise ValueError(f"the smaller factor's dimension {dim} times rank {rank} is "
+                         f"{dim * rank}, above the bound {4 * MAX_DIM} on their product")
     return klimyk_sum(
         (list(map(add, lam, w)), k) for w, k in weight_system(mu)
     )

@@ -14,6 +14,7 @@ from dvschur import cli
 from dvschur.cli import build_parser, main
 from dvschur.ext import ext_groups
 from dvschur.koszul import load_overrides
+from dvschur.partitions import weyl_dim
 from dvschur.ring import ch_oracle
 from dvschur.schur import MAX_DIM, MAX_RANK
 
@@ -92,6 +93,21 @@ def test_rank_above_the_bound_exit_one(capsys, argv):
     assert [term["weight"] for term in json.loads(out)["terms"]] == [
         [2] + [0] * (MAX_RANK - 1), [1, 1] + [0] * (MAX_RANK - 2)
     ]
+
+
+def test_product_above_the_bound_exit_one(capsys):
+    # refused before any work: the smaller factor's dimension 1,397,760 times
+    # rank 64 ran past 30 s with no word, though both other bounds pass it
+    assert main(["lr", "--lambda", "2,2", "--mu", "2,2", "--rank", "64"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the smaller factor's dimension 1397760 times rank 64 is 89456640, "
+        f"above the bound {4 * MAX_DIM} on their product\n"
+    )
+    # (2,1) x (2,1) at rank 64 takes seconds and stays allowed: its arithmetic
+    small = weyl_dim((2, 1) + (0,) * (MAX_RANK - 2))
+    assert small * MAX_RANK == 87360 * 64 == 5591040 <= 4 * MAX_DIM
 
 
 def test_unknown_preset_rejected_before_computation(capsys):

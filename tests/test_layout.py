@@ -16,8 +16,12 @@ O(-d) and stays only for ``bench/child.py``.
 Every report is written by one code path on every CPython: no module in
 ``src/dvschur/`` reads ``sys.version_info``.
 
+All code of the package is in its source: no module in ``src/dvschur/``
+calls ``exec`` or ``eval``.
+
 A cold start imports only what the CLI runs: neither ``dataclasses`` (which
-pulls in ``inspect``) nor ``importlib.resources``.
+pulls in ``inspect``), ``importlib.resources`` nor ``typing``; the value
+types are ``collections.namedtuple``s.
 """
 
 import ast
@@ -217,8 +221,39 @@ def test_no_module_branches_on_the_python_version():
     assert violations == {}
 
 
-def test_cold_start_imports_neither_dataclasses_nor_importlib_resources():
-    # -S skips site, so no .pth file can have loaded either module first;
+def dynamic_code(source: str) -> list[str]:
+    """Every call of ``exec`` or ``eval``, by name or as an attribute."""
+    return [
+        f"{name}@{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None)))
+        in ("exec", "eval")
+    ]
+
+
+def test_guard_catches_dynamic_code():
+    source = """
+exec("def f(): pass", namespace)
+value = eval(text, {})
+builtins.exec(code)
+run = exec
+literal_eval(text)
+"""
+    assert sorted(dynamic_code(source)) == ["eval@3", "exec@2", "exec@4"]
+
+
+def test_no_module_runs_code_from_strings():
+    violations = {
+        path.name: calls
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (calls := dynamic_code(path.read_text()))
+    }
+    assert violations == {}
+
+
+def test_cold_start_imports_none_of_dataclasses_importlib_resources_typing():
+    # -S skips site, so no .pth file can have loaded any of them first;
     # the set-up reads all three data files
     code = (
         "import sys\n"
@@ -227,7 +262,8 @@ def test_cold_start_imports_neither_dataclasses_nor_importlib_resources():
         "plethysm.koszul_factor_table()\n"
         "koszul.load_overrides('paper-4.2')\n"
         "reference.table1_reference()\n"
-        "loaded = {'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)\n"
+        "loaded = {'dataclasses', 'inspect', 'importlib.resources', 'typing'}\n"
+        "loaded &= set(sys.modules)\n"
         "assert not loaded, sorted(loaded)\n"
     )
     # the package this session imported, in the checkout or installed

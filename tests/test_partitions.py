@@ -185,7 +185,8 @@ def test_reflect_examples():
 
 
 # ---------------------------------------------------------------------------
-# ``record``: every value type of the package, built twice from equal fields
+# named-tuple value types: every value type of the package, built twice from
+# equal fields
 
 
 EXACT = ((1, 1),) * 5
@@ -249,7 +250,7 @@ def test_record_repr_defaults_and_post_init():
     assert RankOverride((5, 5, 2, 0), -3, (11, 12), (9, 11), 1).note == ""
     with pytest.raises(ValueError, match="not a canonical triple"):
         CanonicalQPartition(2, 2, 1)
-    # __post_init__ stores an override under its normalised name
+    # __new__ stores an override under its normalised name
     other_name = RankOverride((6, 6, 3, 1), -4, (11, 12), (9, 11), 220, "injective")
     assert (other_name.q_weight, other_name.twist) == ((5, 5, 2, 0), -3)
     assert other_name == RankOverride(*RECORDS[3][1])
