@@ -25,6 +25,10 @@ products: chi(End E) on ch(E) = (o, h, h2, c2, c3, p) is the quadratic form
 - 7/2 o c2 from the multiplication table and ``TODD``; the tests keep the
 product route ``integrate(ch * ch.dual() * TODD)`` as its reference.  Neither
 uses the Littlewood-Richardson split of End E: chi checks it and the chase.
+
+Atomicity has one formula: ``extended_vector_candidate`` takes the extended
+Mukai vector's r and ell = c h from the Mukai vector's degrees 0 and 2, and
+s = (22c^2 - (15/2) r ch2) / (2r) from its degree-4 piece.
 """
 
 from __future__ import annotations
@@ -235,30 +239,18 @@ def verbitsky_projection(v: ExtendedMukaiVector) -> RingElement:
 
 
 def extended_vector_candidate(lam: Weight) -> ExtendedMukaiVector | None:
-    """The only extended vector whose projection could be the Mukai vector.
+    """The only extended vector whose projection could be the Mukai vector,
+    or None when its projection is not the Mukai vector (not atomic).
 
-    The projection's degree-6 piece pins the scalar component (degree 8 pins
-    it up to sign when the degree-2 piece vanishes); returns None when the
-    resulting projection does not reproduce the Mukai vector, i.e. when the
-    bundle is not atomic.
+    The projection's degree-4 piece (ell^2 - (q/30) c2(X))/(2r) has ch2
+    coordinate 2q/(15r), q = 22c^2 - 2rs, of slope -4/15 in s: equal to the
+    Mukai vector's ch2 only at s = (22c^2 - (15/2) r ch2) / (2r).
     """
     v = mukai_vector(lam)
-    r = v.one
-    c = v.h
-    if c:
-        s = -v.ch3 * r / (4 * c)  # ell-dual carries -4 ch3 per unit of ell
-        candidates = [ExtendedMukaiVector(r, c * H, s)]
-    else:
-        square = 2 * r * v.pt
-        if not is_rational_square(square):
-            return None
-        root = Q(isqrt(square.numerator), isqrt(square.denominator))
-        candidates = [ExtendedMukaiVector(r, RingElement(), sign * root)
-                      for sign in (1, -1)]
-    for cand in candidates:
-        if verbitsky_projection(cand) == v:
-            return cand
-    return None
+    r, c = v.one, v.h
+    s = (BBF_SQUARE_H * c * c - Q(15, 2) * r * v.ch2) / (2 * r)
+    cand = ExtendedMukaiVector(r, c * H, s)
+    return cand if verbitsky_projection(cand) == v else None
 
 
 def is_rational_square(x: Fraction) -> bool:
@@ -281,8 +273,9 @@ def atomicity_report(lam: Weight) -> AtomicityReport:
     looks for the extended-Mukai-vector certificate
     (``extended_vector_candidate``); ``sym_certificate`` records whether it
     was found for symmetric powers (canonical triples with t = s = 0) and is
-    None elsewhere.  Atomic holds exactly for the symmetric powers: away from
-    them either the square test or the certificate fails.
+    None elsewhere.  Atomic holds exactly for the symmetric powers, for every
+    weight by the proofs in ``tests/test_ring.py``: the certificate exists
+    exactly there, where chi(End) = 3 g(m)^2 passes the square test.
     """
     lam = check_dominant(lam, 4)
     c = canonicalize(lam)

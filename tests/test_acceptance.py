@@ -10,9 +10,9 @@ published values are inconsistent and are checked for what they are:
   value that HRR chi forces, 23771, and requires the table diff to report
   the printed cell as annotated;
 * the rational-square necessary test for atomicity passes at (2,1,0,0),
-  where chi/(3 r^2) = (11/20)^2.  The ``ring.atomicity_report`` docstring
-  promises only that away from the symmetric powers either the square test
-  or the extended-Mukai-vector certificate fails; criterion 8 checks that.
+  where chi/(3 r^2) = (11/20)^2.  Away from the symmetric powers the
+  extended-Mukai-vector certificate fails (proved for every weight in
+  ``tests/test_ring.py``); criterion 8 checks that up to m = 6.
 """
 
 from __future__ import annotations

@@ -1,4 +1,8 @@
 import argparse
+import contextlib
+import csv
+import io
+import itertools
 import json
 import os
 import pathlib
@@ -8,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from dvschur import cli
 from dvschur.cli import build_parser, main
@@ -660,3 +664,180 @@ def test_weight_below_the_dimension_bound_runs(capsys):
     code, out = run(capsys, "chern", "--lambda", "30,15,7,0")
     assert code == 0
     assert json.loads(out)["rank"] == 1346400 <= MAX_DIM
+
+
+# ---------------------------------------------------------------------------
+# a generated-input net: argv drawn from the CLI's own declarations, with
+# weight entries up to 12 so that every run is fast.  Each value is valid,
+# one that every command refuses (``bad``), or out of range (a top entry of
+# 10^7, a twist scaled by 10^19), for which any exit status 0, 1 or 2 is fine.
+
+FILE = "<override file>"  # replaced by the path the file is written to
+FILE_NAMES = itertools.count()
+RARELY = st.integers(0, 9).map(lambda k: k == 9)
+
+
+def either(good, bad):
+    """(text, is_bad): a ``good`` value eight times in ten, else a ``bad`` one."""
+    good, bad = good.map(lambda v: (v, False)), bad.map(lambda v: (v, True))
+    return st.integers(0, 9).flatmap(lambda k: good if k < 8 else bad)
+
+
+def joined(entries):
+    return ",".join(map(str, entries))
+
+
+def entries(sizes, low=-2, high=12):
+    return st.one_of([st.lists(st.integers(low, high), min_size=n, max_size=n) for n in sizes])
+
+
+def weights(length):
+    """Weight strings of ``length`` entries (1..5 when None): dominant ones,
+    rarely with a top entry of 10^7, or bad ones."""
+    drawn = entries([length] if length else range(1, 6))
+    dominant = st.tuples(drawn, RARELY).map(lambda pair: joined(
+        [x + 10**7 * (pair[1] and not i) for i, x in enumerate(sorted(pair[0], reverse=True))]))
+    rising = drawn.filter(lambda w: w != sorted(w, reverse=True)).map(joined)
+    bad = [rising, st.sampled_from(["", "2.5,1,0,0", "3,two,1,0", "1,,0,0", "x"])]
+    if length:
+        other = entries([n for n in range(1, 8) if n != length], 0, 3)
+        bad.append(other.map(lambda w: joined(sorted(w, reverse=True))))
+    return either(dominant, st.one_of(bad))
+
+
+def integers(good, bad):
+    return either(good.map(str), st.one_of(bad.map(str), st.sampled_from(["x", "2.5", ""])))
+
+
+# One override: a dominant weight and a legal differential position.
+OVERRIDE = st.tuples(entries([4]), st.integers(-12, 12), st.integers(0, 400),
+                     st.integers(1, 20), st.integers(0, 30), st.integers(1, 3)).map(
+    lambda f: {"q_weight": sorted(f[0], reverse=True), "twist": f[1], "rank": f[2],
+               "source": {"p": f[3], "q": f[4]},
+               "target": {"p": f[3] - f[5], "q": f[4] - f[5] + 1}})
+SPOILERS = [  # one bad field each
+    lambda e: {**e, "q_weight": [e["q_weight"][0] + 0.5, *e["q_weight"][1:]]},
+    lambda e: {**e, "q_weight": [float(e["q_weight"][0]), *e["q_weight"][1:]]},
+    lambda e: {**e, "q_weight": e["q_weight"][:3]},
+    lambda e: {**e, "q_weight": e["q_weight"][::-1] + [13]},
+    lambda e: {**e, "q_weight": [str(x) for x in e["q_weight"]]},
+    lambda e: {**e, "twist": 0.5},
+    lambda e: {**e, "rank": -1},
+    lambda e: {**e, "rank": True},
+    lambda e: {**e, "target": e["source"]},
+    lambda e: {k: v for k, v in e.items() if k != "rank"},
+    lambda e: {**e, "note": 7},
+]
+
+
+def spoiled(spoilers):
+    return st.tuples(OVERRIDE, st.sampled_from(spoilers)).map(
+        lambda pair: json.dumps([pair[1](pair[0])]))
+
+
+# (JSON text of an override list, is_bad): well-formed half the time, else
+# with one bad field or not a list.  ``parse_weight`` calls ``int`` first, so
+# a float reaches ``check_dominant`` only in a file's q_weight: one file in
+# four has one there.
+OVERRIDES_FILE = st.one_of(
+    OVERRIDE.map(lambda e: (json.dumps([e]), False)),
+    spoiled(SPOILERS[:2]).map(lambda text: (text, True)),
+    st.one_of(spoiled(SPOILERS[2:]), st.sampled_from(["", "[", "{}", "3", '{"overrides": 3}'])
+              ).map(lambda text: (text, True)),
+)
+VALUES = {
+    "--lambda": dict.fromkeys(("bwb", "cohomology", "ext", "chern", "atomic"), weights(4)),
+    "--mu": {"bwb": weights(6)},
+    "--m": integers(st.integers(0, 12), st.integers(-3, -1)),
+    "--rank": integers(st.integers(1, 6), st.sampled_from([-1, 0, MAX_RANK + 1])),
+    "--boxes": integers(st.integers(0, 12), st.integers(-3, -1)),
+    "--twist": either(st.tuples(st.integers(-12, 12), RARELY).map(
+                          lambda pair: str(pair[0] * 10**19 if pair[1] else pair[0])),
+                      st.sampled_from(["x", "1.5", ""])),
+    "--format": either(st.sampled_from(["json", "markdown", "csv"]),
+                       st.sampled_from(["xml", "JSON"])),
+    "--overrides": either(st.sampled_from([FILE, FILE, "paper-4.2"]),
+                          st.sampled_from(["no-such-preset", ""])),
+}
+ANY_LENGTH = weights(None)  # lr and pieri take weights of any length
+
+
+@st.composite
+def cli_inputs(draw):
+    """(argv, bad, override file text or None)."""
+    name = draw(st.sampled_from([*cli._COMMANDS, "bogus"]))
+    if name == "bogus":
+        return [name], True, None
+    argv, bad, text = [name], False, None
+    flags = cli._COMMANDS[name][2]
+    for flag in flags:
+        spec = cli._OPTIONS[flag]
+        if spec.get("action") == "store_true":
+            argv += [flag] * draw(st.booleans())
+            continue
+        if draw(RARELY):  # leave the flag out
+            bad |= spec.get("required", False)
+            continue
+        values = VALUES[flag]
+        value, refused = draw(values.get(name, ANY_LENGTH) if isinstance(values, dict)
+                              else values)
+        if value == FILE:
+            text, refused = draw(OVERRIDES_FILE)
+        argv.append(f"{flag}={value}")
+        bad |= refused
+    fmt = next((a.split("=", 1)[1] for a in argv if a.startswith("--format=")), "json")
+    bad |= "--summands" in argv and fmt != "json"
+    if draw(RARELY):  # a flag of another subcommand, not an abbreviation
+        stray = draw(st.sampled_from([f for f in cli._OPTIONS
+                                      if not any(g.startswith(f) for g in flags)]))
+        argv.insert(draw(st.integers(1, len(argv))), f"{stray}=1")
+        bad = True
+    return argv, bad, text
+
+
+def check_report(out, fmt):
+    if fmt == "json":
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    elif fmt == "markdown":
+        rows = out.splitlines()
+        assert rows[1] == "|" + "---|" * (rows[0].count(" | ") + 1)
+        assert all(row.startswith("| ") and row.endswith(" |") for row in rows[:1] + rows[2:])
+    else:
+        assert len({len(row) for row in csv.reader(io.StringIO(out))}) == 1
+
+
+@pytest.fixture(scope="module")
+def override_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("overrides")
+
+
+# without the explain phase, which traces every run of a failing case: minutes
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          phases=[Phase.generate, Phase.shrink])
+@given(case=cli_inputs())
+def test_generated_argv_exit_status_and_output(override_dir, case):
+    # exit 0, 1 or 2 and no exception; a refused input exits 1 with one
+    # error line (after the usage line on a usage error) and no report; a
+    # report (exit 0 or 2, or table1's exit 1 on a mismatch with the published
+    # table) is in the format --format asks for
+    argv, bad, text = case
+    if text is not None:  # a fresh name: load_overrides caches by path
+        path = override_dir / f"overrides-{next(FILE_NAMES)}.json"
+        path.write_text(text, encoding="utf-8")
+        argv = [a.replace(FILE, str(path)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status, usage = main(argv), False
+        except SystemExit as exc:  # only the parser exits
+            status, usage = exc.code, True
+    out, lines = out.getvalue(), err.getvalue().splitlines()
+    errors = [line for line in lines if line.startswith("error: ")]
+    assert status in (0, 1, 2)
+    if bad or usage or errors or status == 1 and argv[0] != "table1":
+        assert status == 1 and out == ""
+        assert len(errors) == 1 and lines[-1] == errors[0]
+        assert lines[0].startswith("usage: dvschur") if usage else lines == errors
+        return
+    assert all(line.startswith("warning: ") for line in lines)
+    check_report(out, next((a[9:] for a in argv if a.startswith("--format=")), "json"))

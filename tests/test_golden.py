@@ -42,6 +42,7 @@ CASES = {
     "sym-18": ["sym", "--m", "18"],
     "chern": ["chern", "--lambda", "4,2,1,0"],
     "atomic": ["atomic", "--lambda", "3,0,0,0"],
+    "atomic-trivial": ["atomic", "--lambda", "0,0,0,0"],  # O_X: ch1 = 0
 }
 
 

@@ -308,6 +308,33 @@ def difference(values):
     return values[0]
 
 
+def newton_coefficients(f, d):
+    """The coefficients a[i, j, k] of f = sum a C(x, i) C(y, j) C(z, k) over
+    i + j + k <= d, from f's values on simplex(d): forward differences at 0
+    along each axis in turn.
+
+    The caller shows that f is a polynomial of degree <= d - 2; the simplex
+    is unisolvent for it, so these are its coefficients.  The degree check
+    asserts that those of total degree d - 1 and d vanish, so a degree bound
+    that undercounts shows.  On N^3 every C(x, i) C(y, j) C(z, k) is a
+    nonnegative integer: f is integer-valued there when every a is an
+    integer, and f <= 0 when every a is <= 0.
+    """
+    a = {p: f(*p) for p in simplex(d)}
+    for axis in range(3):
+        lines = {}
+        for p in sorted(a, key=lambda p: p[axis]):
+            lines.setdefault(p[:axis] + p[axis + 1:], []).append(p)
+        for line in lines.values():
+            values = [a[p] for p in line]
+            for p in line:
+                a[p] = values[0]
+                values = [y - x for x, y in zip(values, values[1:])]
+    top = {p: c for p, c in a.items() if sum(p) >= d - 1 and c}
+    assert not top, f"degree above {d - 2}: {sorted(top)[:3]}"
+    return a
+
+
 CLOSED_DEGREES = {"one": 6, "h": 7, "ch2": 8, "h2": 8, "ch3": 9, "pt": 10}
 
 
@@ -562,3 +589,91 @@ def test_atomicity_twist_invariance():
     # (1,1,1,0) canonicalises to the standard bundle: atomic
     assert atomicity_report((1, 1, 1, 0)).atomic
     assert atomicity_report((3, 2, 1, 1)).atomic is False
+    # the certificate of a weight that is not canonical (twisted, dualised,
+    # negative entries, ch1 = 0 as for O_X and (1,0,0,-1)) exists exactly
+    # when its canonical form is a symmetric power
+    span = range(-2, 9)
+    grid = [(a, b, c, d) for a in span for b in span for c in span for d in span
+            if 8 >= a >= b >= c >= d and a >= 0]
+    assert len(grid) == 996
+    assert sum(sum(lam) == 0 for lam in grid) == 15
+    for lam in grid:
+        c = canonicalize(lam)
+        assert (extended_vector_candidate(lam) is not None) == (c.t == c.s == 0), lam
+
+
+# ---------------------------------------------------------------------------
+# the paper's atomicity theorem for every weight: Sigma_lam Q is atomic iff
+# its canonical form is a symmetric power.  Each proof evaluates ``ch_closed``
+# (equal to the oracle on every canonical triple: test_closed_matches_oracle)
+# at the canonical weights (u + v + 2s, v + s, s, 0), (u, v, s) in N^3, which
+# are all of them; every weight's report reads its canonical form's.
+
+
+def closed_oracle(weight):
+    """``ch_closed`` in the oracle's signature, for canonical weights."""
+    return ch_closed(CanonicalQPartition(*weight[:3]))
+
+
+def test_certificate_exists_exactly_on_the_symmetric_powers(monkeypatch):
+    # The shipped candidate's projection, times r, is the Mukai vector times
+    # r in every coordinate but the point class, as polynomials: each
+    # coordinate has degree <= 15 (s = 11 ell^2 r - 15/4 ch2 has degree 8,
+    # since c = ell r) and vanishes on the unisolvent simplex(26).  With the
+    # ch3 coordinates equal, -4 c s = r ch3, the point-class gap times 32 c^2
+    # is -r P, P = 32 c^2 pt - r ch3^2 of the Mukai vector, of degree
+    # 7 + 7 + 10 = 24.  Its Newton coefficients are all <= 0 with
+    # a_i00 = 0, a_010 = -864 and a_001 = -21600, so P <= -864 v - 21600 s:
+    # the gap is nonzero, and there is no certificate, exactly when
+    # (v, s) != (0, 0), i.e. off the symmetric powers (u, 0, 0).
+    projections = []
+
+    def record(v):
+        projections.append(v)
+        return verbitsky_projection(v)
+
+    monkeypatch.setattr(ring, "ch_oracle", closed_oracle)
+    monkeypatch.setattr(ring, "verbitsky_projection", record)
+
+    def p_class_mismatch(u, v, s):
+        weight = (u + v + 2 * s, v + s, s, 0)
+        mukai = ring.mukai_vector(weight)
+        extended_vector_candidate(weight)
+        cand = projections.pop()
+        gap = cand.r * (verbitsky_projection(cand) - mukai)
+        assert gap[:5] == (0,) * 5, (u, v, s)
+        c, r = mukai.h, mukai.one
+        p = 32 * c * c * mukai.pt - r * mukai.ch3**2
+        assert 32 * c * c * gap.pt == -r * p, (u, v, s)
+        return p
+
+    a = newton_coefficients(p_class_mismatch, 26)
+    assert all(x <= 0 for x in a.values())
+    assert all(a[i, 0, 0] == 0 for i in range(27))
+    assert (a[0, 1, 0], a[0, 0, 1]) == (-864, -21600)
+
+
+def test_square_test_passes_on_every_symmetric_power(monkeypatch):
+    # chi(End Sym^m Q) = 3 g(m)^2 with g = (3m^2 + 12m - 20)/20 times the
+    # rank, of degree 5 (sqrt(chi/3) = g for m >= 2).  chi_endo pairs ch_k
+    # with ch_(4-k); on Sym^m Q each ch_k is the rank, of degree 3 in m, times
+    # a polynomial of degree k (ch_closed at t = s = 0), so chi has degree
+    # <= 10 in m, as 3 g^2 has.  Agreeing at 11 points they are equal, and
+    # chi/(3 r^2) = (g/r)^2 is a rational square for every m.
+    monkeypatch.setattr(ring, "ch_oracle", closed_oracle)
+    for m in range(11):
+        g = Q(3 * m * m + 12 * m - 20, 20) * weyl_dim((m, 0, 0, 0))
+        assert chi_endo((m, 0, 0, 0)) == 3 * g * g, m
+
+
+def test_chi_end_is_an_integer_for_every_weight():
+    # integrate(ch ch^dual TODD), chi_endo's reference, is a polynomial of
+    # degree <= (6 + k) + (6 + 4 - k) = 16 in (u, v, s) with integer Newton
+    # coefficients: an integer at every weight, so chi_endo never raises
+    def chi(u, v, s):
+        ch = ch_closed(CanonicalQPartition(u + v + 2 * s, v + s, s))
+        return integrate(ch * ch.dual() * TODD)
+
+    a = newton_coefficients(chi, 18)
+    assert all(x.denominator == 1 for x in a.values())
+    assert sum(1 for x in a.values() if x) == 836
