@@ -194,13 +194,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="dvschur",
         description="Exact cohomology of Schur functors of the quotient bundle "
         "on the very general Debarre-Voisin fourfold.",
+        allow_abbrev=False,
     )
     chosen = {command: _COMMANDS[command]} if command in _COMMANDS else _COMMANDS
     # with one subparser the usage line must still list every subcommand
     metavar = "{" + ",".join(_COMMANDS) + "}" if len(chosen) == 1 else None
     subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (text, _, flags) in chosen.items():
-        sub = subs.add_parser(name, help=text)
+        sub = subs.add_parser(name, help=text, allow_abbrev=False)
         for flag in flags:
             sub.add_argument(flag, **_OPTIONS[flag])
     return parser

@@ -60,9 +60,12 @@ class OverrideError(ValueError):
 def build_complex(lam: Weight, d: int) -> tuple[Weight, int]:
     """The page pair of Sigma_lam Q tensor O(-d): ``(lam, -d)``, for ``e1_page``.
 
-    A sign flip that no package path calls: ``bench/child.py`` times it in
-    traced runs, pinned by ``tests/test_bench_contract.py`` and
-    ``test_build_complex_terms``, until ROADMAP item D deletes it.
+    A sign flip that no package path calls.  Its one caller is
+    ``bench/child.py``, which times it in traced runs under a span name that
+    ``tests/test_bench_contract.py`` pins.  Two tests call it to pin it,
+    ``test_build_complex_terms`` and ``test_build_complex_rejects_bad_q_weight``,
+    and ``tests/test_layout.py`` refuses any other call in ``src/`` or
+    ``tests/``, until ROADMAP item D deletes it.
     """
     return lam, -d
 

@@ -2,7 +2,6 @@ import argparse
 import contextlib
 import csv
 import io
-import itertools
 import json
 import os
 import pathlib
@@ -58,14 +57,20 @@ def test_malformed_weight_exit_one(capsys):
     ["table1", "--jobs", "2"],
     ["ext"],
     ["cohomology", "--lambda", "5,5,2,0", "--twist", "x"],
+    # argparse takes a prefix of a declared flag for it by default; here a
+    # flag is spelled in full (--m is sym's flag and a prefix of lr's --mu)
+    ["lr", "--lambda", "1", "--m", "2", "--rank", "2"],
+    ["ext", "--lam", "1,0,0,0"],
 ])
 def test_usage_error_exit_one(capsys, argv):
     # exit 2 is reserved for bounded results; a usage error is an input error
     with pytest.raises(SystemExit) as info:
         main(argv)
-    assert info.value.code == 1
-    err = capsys.readouterr().err
-    assert err.splitlines()[-1].startswith("error: ")
+    captured = capsys.readouterr()
+    assert info.value.code == 1 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[0].startswith("usage: dvschur")
+    assert [line for line in lines if line.startswith("error: ")] == [lines[-1]]
 
 
 @pytest.mark.parametrize("rank", ["0", "-1"])
@@ -673,7 +678,6 @@ def test_weight_below_the_dimension_bound_runs(capsys):
 # 10^7, a twist scaled by 10^19), for which any exit status 0, 1 or 2 is fine.
 
 FILE = "<override file>"  # replaced by the path the file is written to
-FILE_NAMES = itertools.count()
 RARELY = st.integers(0, 9).map(lambda k: k == 9)
 
 
@@ -787,10 +791,16 @@ def cli_inputs(draw):
         bad |= refused
     fmt = next((a.split("=", 1)[1] for a in argv if a.startswith("--format=")), "json")
     bad |= "--summands" in argv and fmt != "json"
-    if draw(RARELY):  # a flag of another subcommand, not an abbreviation
-        stray = draw(st.sampled_from([f for f in cli._OPTIONS
-                                      if not any(g.startswith(f) for g in flags)]))
-        argv.insert(draw(st.integers(1, len(argv))), f"{stray}=1")
+    if draw(RARELY):  # a flag of another subcommand, or one of its own abbreviated
+        others = [f for f in cli._OPTIONS if f not in flags]
+        # (index, the argument with its flag cut to a proper prefix, value kept)
+        short = [(i, a[:k] + a[a.index("="):]) for i, a in enumerate(argv) if "=" in a
+                 for k in range(3, a.index("=")) if a[:k] not in flags]
+        if short and draw(st.booleans()):
+            i, abbreviated = draw(st.sampled_from(short))
+            argv[i] = abbreviated
+        else:
+            argv.insert(draw(st.integers(1, len(argv))), f"{draw(st.sampled_from(others))}=1")
         bad = True
     return argv, bad, text
 
@@ -821,8 +831,8 @@ def test_generated_argv_exit_status_and_output(override_dir, case):
     # report (exit 0 or 2, or table1's exit 1 on a mismatch with the published
     # table) is in the format --format asks for
     argv, bad, text = case
-    if text is not None:  # a fresh name: load_overrides caches by path
-        path = override_dir / f"overrides-{next(FILE_NAMES)}.json"
+    if text is not None:  # each case rewrites one file; load_overrides reads it anew
+        path = override_dir / "overrides.json"
         path.write_text(text, encoding="utf-8")
         argv = [a.replace(FILE, str(path)) for a in argv]
     out, err = io.StringIO(), io.StringIO()

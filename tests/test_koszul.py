@@ -19,6 +19,7 @@ from dvschur.koszul import (
     serre_partner,
 )
 from dvschur.plethysm import koszul_factor_table
+from dvschur.ring import TODD, ch_oracle, integrate
 
 
 def entries_of(page):
@@ -26,16 +27,17 @@ def entries_of(page):
 
 
 def test_build_complex_terms():
-    # the complex is its weight and twist; term p is column p raised by d
+    # the benchmark's call: Sigma_lam Q tensor O(-d) is the page pair (lam, -d)
     assert build_complex((2, 2, 0, 0), 1) == ((2, 2, 0, 0), -1)
+    # term p of the page (lam, t) is factor-table column p raised by -t
     table = koszul_factor_table()
     assert table[3] == {
         (3, 3, 1, 1, 1, 0): 1, (3, 2, 2, 2, 0, 0): 1, (2, 2, 2, 1, 1, 1): 1
     }
     assert table[0] == {(0,) * 6: 1} and table[20] == {(10,) * 6: 1}
     # det Q tensor O(-1) is trivial: the page of O, every piece raised by 1
-    page = e1_page(build_complex((1, 1, 1, 1), 1))
-    plain = e1_page(build_complex((0, 0, 0, 0), 0))
+    page = e1_page(((1, 1, 1, 1), -1))
+    plain = e1_page(((0, 0, 0, 0), 0))
     assert page.entries == plain.entries == (((0, 0), 1), ((10, 12), 1), ((20, 24), 1))
     for pos, _ in page.entries:
         (w, mult), = constituents(page, pos)
@@ -44,28 +46,28 @@ def test_build_complex_terms():
 
 
 def test_e1_page_wedge2_summand():
-    page = e1_page(build_complex((2, 2, 0, 0), 1))
+    page = e1_page(((2, 2, 0, 0), -1))
     assert entries_of(page) == {
         (3, 4): 10, (7, 8): 10, (10, 12): 1, (13, 16): 10, (17, 20): 10
     }
 
 
 def test_e1_page_structure_sheaf():
-    page = e1_page(build_complex((0, 0, 0, 0), 0))
+    page = e1_page(((0, 0, 0, 0), 0))
     assert entries_of(page) == {(0, 0): 1, (10, 12): 1, (20, 24): 1}
     res = chase(page)
     assert res.dims() == (1, 0, 1, 0, 1)
 
 
 def test_e1_page_empty():
-    page = e1_page(build_complex((2, 1, 1, 0), 1))
+    page = e1_page(((2, 1, 1, 0), -1))
     assert page.entries == ()
     res = chase(page)
     assert res.exact and res.dims() == (0, 0, 0, 0, 0)
 
 
 def test_chase_wedge2_summand_exact():
-    res = chase(e1_page(build_complex((2, 2, 0, 0), 1)))
+    res = chase(e1_page(((2, 2, 0, 0), -1)))
     assert res.exact
     assert res.dims() == (0, 20, 1, 20, 0)
 
@@ -94,7 +96,7 @@ def test_chase_dual_goldens_with_preset(preset):
 
 
 def test_chase_without_override_is_bounded():
-    res = chase(e1_page(build_complex((5, 5, 2, 0), 3)))
+    res = chase(e1_page(((5, 5, 2, 0), -3)))
     assert not res.exact
     assert res.conflicts
     lo, hi = res.values[2]
@@ -124,7 +126,7 @@ def test_sym5_summand_indeterminate():
 
 def test_euler_is_preserved(preset):
     for (w, t) in [((5, 5, 2, 0), -3), ((6, 6, 4, 0), -4), ((2, 2, 0, 0), -1)]:
-        page = e1_page(build_complex(w, -t))
+        page = e1_page((w, t))
         plain = chase(page)
         resolved = chase(page, preset)
         assert plain.euler == resolved.euler == page.euler
@@ -135,7 +137,7 @@ def test_euler_is_preserved(preset):
 
 
 def test_override_monotone():
-    page = e1_page(build_complex((5, 5, 2, 0), 3))
+    page = e1_page(((5, 5, 2, 0), -3))
     previous = None
     for rank in (0, 100, 220):
         ov = RankOverride((5, 5, 2, 0), -3, (11, 12), (9, 11), rank)
@@ -151,7 +153,7 @@ def test_override_validation():
         RankOverride((5, 5, 2, 0), -3, (9, 11), (11, 12), 220)  # wrong direction
     with pytest.raises(ValueError):
         RankOverride((5, 5, 2, 0), -3, (11, 12), (9, 10), 220)  # illegal offset
-    page = e1_page(build_complex((5, 5, 2, 0), 3))
+    page = e1_page(((5, 5, 2, 0), -3))
     too_big = RankOverride((5, 5, 2, 0), -3, (11, 12), (9, 11), 331)
     with pytest.raises(OverrideError, match=re.escape(
         "override rank 331 at (11, 12)->(9, 11) exceeds entry dimensions 220, 330"
@@ -190,7 +192,7 @@ def test_override_fields_are_integers(tmp_path, args, message):
 def test_stray_cohomology_blames_override_only_when_one_applied():
     # an override that leaves an entry outside degrees 0..4 is bad input;
     # without one, a stray entry is a program fault
-    page = e1_page(build_complex((3, 1, 1, 0), 0))
+    page = e1_page(((3, 1, 1, 0), 0))
     wrong = RankOverride((3, 1, 1, 0), 0, (12, 11), (0, 0), 4)
     with pytest.raises(OverrideError, match=re.escape(
         "{(12, 11): 6}, after overrides at [((12, 11), (0, 0))]"
@@ -202,7 +204,7 @@ def test_stray_cohomology_blames_override_only_when_one_applied():
 
 
 def test_overrides_for_other_bundles_are_ignored(preset):
-    res = chase(e1_page(build_complex((2, 2, 0, 0), 1)), preset)
+    res = chase(e1_page(((2, 2, 0, 0), -1)), preset)
     assert res.exact
     assert res.dims() == (0, 20, 1, 20, 0)
 
@@ -240,7 +242,7 @@ def test_serre_duality_of_dual_summand_chases(preset):
 
 def test_determinate_iff_no_legal_pairs():
     # all entries of this page share one total degree, so no differential fits
-    page = e1_page(build_complex((6, 4, 2, 0), 3))
+    page = e1_page(((6, 4, 2, 0), -3))
     degrees = {q - p for (p, q), _ in page.entries}
     assert degrees == {2}
     res = chase(page)
@@ -333,15 +335,15 @@ def textbook_bott(lam, mu):
     return inversions, weight, num // den
 
 
-def reference_page(lam, d):
-    """The page built factor by factor with the public, validating bott on
-    every factor-table weight raised by d, each answer checked against
-    textbook_bott: the sorted (position, dim) entries and each position's
-    constituents."""
+def reference_page(lam, twist):
+    """The page of Sigma_lam Q tensor O(twist) built factor by factor with the
+    public, validating bott on every factor-table weight raised by -twist,
+    each answer checked against textbook_bott: the sorted (position, dim)
+    entries and each position's constituents."""
     dims, parts = {}, {}
     for p, column in enumerate(koszul_factor_table()):
         for mu, mult in column.items():
-            mu = tuple(x + d for x in mu)
+            mu = tuple(x - twist for x in mu)
             res = bott(lam, mu)
             want = textbook_bott(lam, mu)
             if res is None:
@@ -356,14 +358,14 @@ def reference_page(lam, d):
 
 def reference_grid():
     """Every (a,b,c,x) with a <= 8, every third one with a negative last
-    entry x, each at one twist d; the twists run through [-a-2, 3]."""
-    cases = [((2, 1, 1, 0), 1)]  # an acyclic page
+    entry x, each at one twist t; the twists run through [-3, a+2]."""
+    cases = [((2, 1, 1, 0), -1)]  # an acyclic page
     k = 0
     for a in range(9):
         for b in range(a + 1):
             for c in range(b + 1):
                 x = -(1 + a % 3) if k % 3 == 0 else 0
-                twists = range(-a - 2, 4)
+                twists = range(a + 2, -4, -1)
                 cases.append(((a, b, c, x), twists[(5 * k) % len(twists)]))
                 k += 1
     return cases
@@ -372,16 +374,37 @@ def reference_grid():
 def test_e1_page_matches_per_factor_bott():
     cases = reference_grid()
     nonempty = negative = 0
-    for lam, d in cases:
-        page = e1_page(build_complex(lam, d))
-        assert page.q_weight == lam and page.twist == -d
-        entries, parts = reference_page(lam, d)
-        assert page.entries == entries, (lam, d)
-        assert {pos: constituents(page, pos) for pos, _ in entries} == parts, (lam, d)
+    for lam, t in cases:
+        page = e1_page((lam, t))
+        assert page.q_weight == lam and page.twist == t
+        entries, parts = reference_page(lam, t)
+        assert page.entries == entries, (lam, t)
+        assert {pos: constituents(page, pos) for pos, _ in entries} == parts, (lam, t)
         nonempty += bool(page.entries)
         negative += lam[3] < 0
-    assert e1_page(build_complex((2, 1, 1, 0), 1)).entries == ()
+    assert e1_page(((2, 1, 1, 0), -1)).entries == ()
     assert nonempty > len(cases) // 2 and negative > len(cases) // 4
+
+
+def test_e1_page_alternating_sum_is_hrr():
+    # an oracle that runs no Borel-Weil-Bott: the page's alternating sum is
+    # chi(Sigma_(w+t) Q) by Hirzebruch-Riemann-Roch, since det Q = O(1).  The
+    # sign is an integer: the grid keeps every twist-5 page of a = 8, where
+    # entries pass 2^53 and a float sum would round
+    pages = 0
+    for a in range(9):
+        for b in range(a + 1):
+            for c in range(b + 1):
+                for t in range(5, -a - 9, -2):
+                    w = (a, b, c, 0)
+                    page = e1_page((w, t))
+                    alternating = sum(
+                        -dim if (q - p) % 2 else dim for (p, q), dim in page.entries
+                    )
+                    chi = integrate(ch_oracle(tuple(x + t for x in w)) * TODD)
+                    assert chi.denominator == 1 and alternating == chi, (w, t)
+                    pages += 1
+    assert pages == 1685
 
 
 @pytest.mark.parametrize(
@@ -420,7 +443,7 @@ PRESET_SUMMANDS = [
 def greedy_overrides(q_weight, twist):
     """The page-ordered maximal assignment: walk the potential differentials
     in increasing page order and give each the largest possible rank."""
-    dims = entries_of(e1_page(build_complex(q_weight, -twist)))
+    dims = entries_of(e1_page((q_weight, twist)))
     out = []
     for r in range(1, 21):
         for pos in sorted(dims):
@@ -501,8 +524,8 @@ def test_serre_dual_is_the_direct_chase():
                     if partner < key:  # the pair's representative is the partner
                         continue
                     assert serre_partner(*partner) == key
-                    direct = chase(e1_page(build_complex(key[0], -t)))
-                    chased = chase(e1_page(build_complex(partner[0], -partner[1])))
+                    direct = chase(e1_page(key))
+                    chased = chase(e1_page(partner))
                     mirrored = chased.serre_dual()
                     assert mirrored.values == direct.values, key
                     assert mirrored.conflicts == direct.conflicts, key

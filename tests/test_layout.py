@@ -10,8 +10,10 @@ Standard output carries only the report, and ``cli.py`` renders it: no other
 module in ``src/dvschur/`` may call ``print`` or reach ``sys.stdout``.
 
 Pages are built as ``e1_page((q_weight, twist))``, the twist a power of O(1):
-no module in ``src/dvschur/`` calls ``koszul.build_complex``, which takes
-O(-d) and stays only for ``bench/child.py``.
+no module in ``src/dvschur/`` or ``tests/`` calls ``koszul.build_complex``,
+which takes O(-d) and stays only for ``bench/child.py``.  Two tests pin it:
+``test_build_complex_terms`` (the benchmark's call) and
+``test_build_complex_rejects_bad_q_weight``, one call each.
 
 Every report is written by one code path on every CPython: no module in
 ``src/dvschur/`` reads ``sys.version_info``.
@@ -34,6 +36,7 @@ import dvschur
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dvschur"
+TESTS = ROOT / "tests"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
 
 
@@ -158,11 +161,11 @@ def test_only_cli_writes_stdout():
     assert violations == {}
 
 
-def build_complex_calls(source: str) -> list[str]:
-    """Every call of ``build_complex``, by name or as an attribute."""
+def build_complex_calls(tree: ast.AST) -> list[str]:
+    """Every call of ``build_complex`` in the tree, by name or as an attribute."""
     return [
         f"build_complex@{node.lineno}"
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "build_complex"
     ]
@@ -177,16 +180,23 @@ koszul.build_complex(lam, 0)
 f = koszul.build_complex
 e1_page((lam, t))
 """
-    assert sorted(build_complex_calls(source)) == ["build_complex@4", "build_complex@5"]
+    assert sorted(build_complex_calls(ast.parse(source))) == [
+        "build_complex@4", "build_complex@5"
+    ]
 
 
 def test_no_module_builds_a_page_with_the_down_twist():
-    violations = {
-        path.name: calls
-        for path in sorted(PACKAGE.glob("*.py"))
-        if (calls := build_complex_calls(path.read_text()))
+    # the number of calls in each top-level definition (module level: None)
+    calls = {}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if n := len(build_complex_calls(top)):
+                key = (path.relative_to(ROOT).as_posix(), getattr(top, "name", None))
+                calls[key] = calls.get(key, 0) + n
+    assert calls == {
+        ("tests/test_koszul.py", "test_build_complex_terms"): 1,
+        ("tests/test_koszul.py", "test_build_complex_rejects_bad_q_weight"): 1,
     }
-    assert violations == {}
 
 
 def version_reads(source: str) -> list[str]:
