@@ -183,7 +183,17 @@ _OPTIONS = {
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 1 like every other input error (2 means bounded)."""
 
+    def parse_known_args(self, args=None, namespace=None):
+        self._args = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
+        # argparse names a missing flag before a stray one: `ext --lam 1,0,0,0`
+        # lacks --lambda, but --lam is the mistake
+        flags = (a.split("=", 1)[0] for a in self._args if a.startswith("--") and a != "--")
+        stray = [flag for flag in flags if flag not in self._option_string_actions]
+        if stray and message.startswith("the following arguments are required"):
+            message = f"unrecognized arguments: {' '.join(stray)}"
         self.print_usage(sys.stderr)
         self.exit(1, f"error: {message}\n")
 

@@ -34,12 +34,17 @@ class RankOverride(namedtuple("RankOverride", "q_weight twist source target rank
     ``q_weight`` and ``twist`` name the summand up to the determinant and
     are stored ``normalize``d (twist is the power of O(1), so a bundle
     twisted by O(-3) has twist -3); ``source`` and ``target`` are positions.
+    It validates every field, so an override file's reader only looks them up.
     """
 
     __slots__ = ()
 
     def __new__(cls, q_weight: Weight, twist: int, source: Position, target: Position,
                 rank: int, note: str = ""):
+        if not isinstance(q_weight, (list, tuple)):
+            raise ValueError(f"field 'q_weight' is not a list of integers: {q_weight!r}")
+        if not isinstance(note, str):  # the chase cache hashes every override
+            raise ValueError(f"field 'note' is not a string: {note!r}")
         (p, q), (pp, qq) = source, target
         for name, value in (("twist", twist), ("rank", rank), ("source.p", p),
                             ("source.q", q), ("target.p", pp), ("target.q", qq)):
@@ -265,19 +270,11 @@ def _override_from_json(obj, index: int) -> RankOverride:
             value = value[key]
         return value
 
-    weight = field("q_weight")
-    if not isinstance(weight, list):
-        raise OverrideError(
-            f"override {index}: field 'q_weight' is not a list of integers: {weight!r}"
-        )
-    twist, rank = field("twist"), field("rank")
+    weight, twist, rank = field("q_weight"), field("twist"), field("rank")
     source = (field("source", "p"), field("source", "q"))
     target = (field("target", "p"), field("target", "q"))
-    note = obj.get("note", "")
-    if not isinstance(note, str):  # the chase cache hashes every override
-        raise OverrideError(f"override {index}: field 'note' is not a string: {note!r}")
     try:
-        return RankOverride(tuple(weight), twist, source, target, rank, note)
+        return RankOverride(weight, twist, source, target, rank, obj.get("note", ""))
     except ValueError as exc:  # a field RankOverride refuses
         raise OverrideError(f"override {index}: {exc}") from None
 

@@ -174,16 +174,20 @@ def test_override_validation():
     (((5, 5, 2, 0), -3, (11, 12), (9, 11), 219.5), "field 'rank' is not an integer: 219.5"),
     (((5, 5, 2, 0), True, (11, 12), (9, 11), 1), "field 'twist' is not an integer: True"),
     (((5, 5, 2, 0), -3, ("a", 12), (9, 11), 1), "field 'source.p' is not an integer: 'a'"),
-], ids=["half-integer-rank", "bool-twist", "string-position"])
+    # the chase cache hashes every override, note included
+    (((5, 5, 2, 0), -3, (11, 12), (9, 11), 220, ["x"]), "field 'note' is not a string: ['x']"),
+    ((5520, -3, (11, 12), (9, 11), 220), "field 'q_weight' is not a list of integers: 5520"),
+], ids=["half-integer-rank", "bool-twist", "string-position", "list-note", "integer-weight"])
 def test_override_fields_are_integers(tmp_path, args, message):
     # RankOverride is the one validator: the JSON reader names the entry
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         RankOverride(*args)
-    weight, twist, (p, q), (pp, qq), rank = args
+    weight, twist, (p, q), (pp, qq), rank, *note = args
     path = tmp_path / "ov.json"
     path.write_text(json.dumps([{
-        "q_weight": list(weight), "twist": twist, "rank": rank,
+        "q_weight": weight, "twist": twist, "rank": rank,
         "source": {"p": p, "q": q}, "target": {"p": pp, "q": qq},
+        "note": note[0] if note else "",
     }]))
     with pytest.raises(OverrideError, match=f"^override 0: {re.escape(message)}$"):
         load_overrides(str(path))

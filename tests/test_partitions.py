@@ -214,7 +214,7 @@ def test_record_is_an_immutable_value(cls, args):
     a, b = cls(*args), cls(*args)
     assert a is not b and a == b and hash(a) == hash(b)
     assert not a != b
-    changed = cls(*args[:-1], None)
+    changed = cls(*args[:-1], type(args[-1])())  # the last field emptied: "", 0, ()
     assert changed != a and a != changed
     # the repr is Name(field=value, ...) and rebuilds an equal value
     text = repr(a)

@@ -214,13 +214,6 @@ def test_duality():
         assert mirrored == table[p]
 
 
-def test_shift_identity_against_direct_computation():
-    table = koszul_factor_table()
-    for k in range(1, 11):
-        direct = decompose_wedge_power(10 + k)
-        assert direct == table[10 + k], f"k={k}"
-
-
 def test_columns_in_descending_weight_order():
     # koszul.constituents lists an entry's pieces in column order, so the
     # order of the cohomology JSON's constituents relies on it

@@ -389,18 +389,6 @@ def test_every_schur_functor_is_modular():
         assert end.ch2 + 8 * end.h2 == 0, (a, b, c)
 
 
-def test_degree012_closed_forms():
-    for m, t, s in canonical_triples(6):
-        r = rank_poly(m, t, s)
-        ell = ell_poly(m, t, s)
-        delta = delta_poly(m, t, s)
-        got = ch_oracle((m, t, s, 0))
-        assert got.one == r
-        assert got.h == ell * r
-        assert got.ch2 == delta * r
-        assert got.h2 == Q(1, 2) * (ell * ell - delta / 4) * r
-
-
 def test_tau_is_combination():
     for m, t, s in canonical_triples(5):
         assert tau_poly(m, t, s) == 15 * delta_poly(m, t, s) - 44 * ell_poly(m, t, s) ** 2

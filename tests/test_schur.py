@@ -201,20 +201,6 @@ def test_weight_system_matches_compositions():
     assert sum(lam[-1] < 0 for lam in grid) > 50
 
 
-def test_lr_dimension_and_symmetry_sample():
-    rng = random.Random(11)
-    parts = small_partitions(6, 4)
-    for _ in range(40):
-        lam = rng.choice(parts)
-        mu = rng.choice(parts)
-        dec = lr_coefficients(lam, mu, 4)
-        lam4 = lam + (0,) * (4 - len(lam))
-        mu4 = mu + (0,) * (4 - len(mu))
-        total = sum(n * weyl_dim(nu) for nu, n in dec.items())
-        assert total == weyl_dim(lam4) * weyl_dim(mu4)
-        assert dec == lr_coefficients(mu, lam, 4)
-
-
 def test_lr_against_schur_products():
     rng = random.Random(23)
     pairs = [
