@@ -21,11 +21,16 @@ markdown and ``"w"`` in CSV (quoted even at length 1), an interval
 ``ext``, ``sym`` and ``table1`` alike, have one writer, ``_print_ext``.
 
 Every JSON report goes through one writer, ``_dump``, and is byte for byte
-``json.dumps(obj, sort_keys=True, indent=2)``.  Before CPython 3.13 ``json``
-drops to its pure-Python encoder whenever ``indent`` is set, about a third of
-the run of ``ext --lambda 8,4,2,0 --summands`` (a 0.7 MB report); ``_dump``
-joins each container's parts as strings in about half that time, and does so
-on every interpreter, so one code path writes every report.
+``json.dumps(obj, sort_keys=True, indent=2)`` of the payload with each named
+tuple replaced by the object of its fields.  So reports hold the value types
+(``Conflict``, ``CanonicalQPartition``) as they are, and no other code turns
+one into a dict.  Before CPython 3.13 ``json`` drops to its pure-Python
+encoder whenever ``indent`` is set: about 35 ms for the 0.7 MB report of
+``ext --lambda 8,4,2,0 --summands`` (3,264 conflicts), whose cold in-process
+run now takes about 60 ms (unscaled, CPython 3.11).  ``_dump`` fills one
+``%``-template per named tuple type and indent and writes each tuple of ints
+once per indent, in about 12 ms, and does so on every interpreter, so one
+code path writes every report.
 """
 
 from __future__ import annotations
@@ -50,24 +55,58 @@ def _rational(x: Fraction) -> str | int:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _dump(obj, pad: str = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` for ``str``-keyed payloads.
+def _object_form(kind: type, pad: str) -> tuple[str, list[int]]:
+    """The ``%``-template of a named tuple type's object at ``pad`` and the
+    positions of its fields in key order (``_asdict`` reads by position)."""
+    names = sorted(kind._fields)
+    inner = pad + "  "
+    keys = [f"{encode_basestring_ascii(name)}: %s" for name in names]
+    template = "{" + inner + ("," + inner).join(keys) + pad + "}" if names else "{}"
+    return template, [kind._fields.index(name) for name in names]
+
+
+def _dump(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for ``str``-keyed payloads,
+    with each named tuple written as the object of its fields.
 
     Plain ints are written with ``repr`` and keys with ``json``'s own
     ``encode_basestring_ascii``; strings, floats, ``True``, ``False``,
-    ``None`` and empty containers go to ``json.dumps``.
+    ``None`` and empty containers go to ``json.dumps``.  Within one call
+    each named tuple type has one form per indent, and a plain tuple whose
+    items are all exactly ``int`` is written once per indent; no other tuple
+    is kept, as a key 1, 1.0 and True are one.
     """
-    if type(obj) is int:
-        return repr(obj)
-    inner = pad + "  "
-    if isinstance(obj, dict) and obj:
-        parts = [f"{encode_basestring_ascii(k)}: {_dump(v, inner)}"
-                 for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(parts) + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        parts = [_dump(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(parts) + pad + "]"
-    return json.dumps(obj)
+    forms: dict[tuple[type, str], tuple[str, list[int]]] = {}
+    ints: dict[tuple[tuple, str], str] = {}
+
+    def write(obj, pad):
+        kind = type(obj)
+        if kind is int:
+            return repr(obj)
+        if kind is tuple and {*map(type, obj)} == {int}:
+            text = ints.get((obj, pad))
+            if text is None:
+                inner = pad + "  "
+                text = "[" + inner + ("," + inner).join(map(repr, obj)) + pad + "]"
+                ints[obj, pad] = text
+            return text
+        inner = pad + "  "
+        if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+            form = forms.get((kind, pad))
+            if form is None:
+                form = forms[kind, pad] = _object_form(kind, pad)
+            template, order = form
+            return template % tuple([write(obj[i], inner) for i in order])
+        if isinstance(obj, dict) and obj:
+            parts = [f"{encode_basestring_ascii(k)}: {write(v, inner)}"
+                     for k, v in sorted(obj.items())]
+            return "{" + inner + ("," + inner).join(parts) + pad + "}"
+        if isinstance(obj, (list, tuple)) and obj:
+            parts = [write(v, inner) for v in obj]
+            return "[" + inner + ("," + inner).join(parts) + pad + "]"
+        return json.dumps(obj)
+
+    return write(obj, "\n")
 
 
 def _decomposition_json(terms) -> list[dict]:
@@ -106,14 +145,10 @@ def _values_json(values) -> list:
     return [lo if lo == hi else [lo, hi] for lo, hi in values]
 
 
-def _conflicts_json(result: koszul.ChaseResult) -> list[dict]:
-    return [c._asdict() for c in result.conflicts]
-
-
 def _ext_json(report: ext.ExtReport, with_summands: bool) -> dict:
     out = {
         "lambda": report.lam,
-        "canonical": report.canonical._asdict(),
+        "canonical": report.canonical,
         "ext": _values_json(report.values),
         "exact": report.exact,
         "bounded_degrees": report.bounded_degrees(),
@@ -126,7 +161,7 @@ def _ext_json(report: ext.ExtReport, with_summands: bool) -> dict:
                 "twist": s.twist,
                 "mult": s.multiplicity,
                 "values": _values_json(res.values),
-                "conflicts": _conflicts_json(res),
+                "conflicts": res.conflicts,
             }
             for s, res in report.summands
         ]
@@ -280,7 +315,7 @@ def _cmd_cohomology(args) -> int:
         "twist": args.twist,
         "values": _values_json(result.values),
         "exact": result.exact,
-        "conflicts": _conflicts_json(result),
+        "conflicts": result.conflicts,
         "euler": result.euler,
         "entries": [
             {"p": p, "q": q, "total_degree": q - p, "dim": dim,
@@ -355,7 +390,7 @@ def _cmd_chern(args) -> int:
     report = ring.atomicity_report(lam)
     print(_dump({
         "lambda": lam,
-        "canonical": report.canonical._asdict(),
+        "canonical": report.canonical,
         "rank": int(ch.one),
         "ch": {
             "0": _rational(ch.one),

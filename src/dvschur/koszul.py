@@ -183,13 +183,17 @@ def serre_partner(q_weight: Weight, twist: int) -> tuple[Weight, int]:
 def chase(page: E1Page, overrides=()) -> ChaseResult:
     """Process differential pages in increasing order, applying overrides.
 
-    Between live entries a potential differential either has its rank set by
-    an override, which lowers both upper ends ``hi``, or is a conflict whose
-    cap is the largest rank they allow.  A running ``cut`` per position adds
-    up override ranks and caps, and each lower end is max(0, dim - cut): the
-    step-by-step clamp at 0, as every cut is >= 0.  Page order lets an early
-    override kill later differentials from the same source.  Overrides match
-    the page's ``normalize``d name.
+    Only pairs in differential position are visited: the positions are
+    grouped by total degree q - p, a pair is a position and an entry of the
+    next degree with a smaller p', on page r = p - p' (at most 20), and the
+    pairs go in (page, source) order, as a scan of every page over every
+    position meets them.  Between live entries a potential differential
+    either has its rank set by an override, which lowers both upper ends
+    ``hi``, or is a conflict whose cap is the largest rank they allow.  A
+    running ``cut`` per position adds up override ranks and caps, and each
+    lower end is max(0, dim - cut): the step-by-step clamp at 0, as every
+    cut is >= 0.  Page order lets an early override kill later differentials
+    from the same source.  Overrides match the page's ``normalize``d name.
     """
     name = normalize(page.q_weight, page.twist)
     pending = {
@@ -197,31 +201,32 @@ def chase(page: E1Page, overrides=()) -> ChaseResult:
     }
     hi = dict(page.entries)
     cut = dict.fromkeys(hi, 0)
-    positions = sorted(hi)  # the keys stay, only the upper ends move
+    by_degree: dict[int, list[int]] = {}  # total degree -> the p of its entries
+    for p, q in hi:
+        by_degree.setdefault(q - p, []).append(p)
+    pairs = sorted(  # (r, source, target)
+        (p - pp, (p, q), (pp, pp + q - p + 1))
+        for p, q in hi for pp in by_degree.get(q - p + 1, ()) if 0 < p - pp <= WEDGE_RANK
+    )
     matched, conflicts = [], []
-    for r in range(1, WEDGE_RANK + 1):
-        for pos in positions:
-            p, q = pos
-            target = (p - r, q - r + 1)
-            if target not in hi:
-                continue
-            ov = pending.pop((pos, target), None)
-            if ov is not None:
-                matched.append((pos, target))
-                if ov.rank > hi[pos] or ov.rank > hi[target]:
-                    raise OverrideError(
-                        f"override rank {ov.rank} at {pos}->{target} exceeds "
-                        f"entry dimensions {hi[pos]}, {hi[target]}"
-                    )
-                step = ov.rank
-                hi[pos] -= step
-                hi[target] -= step
-            else:
-                step = min(hi[pos], hi[target])
-                if step:
-                    conflicts.append(Conflict(pos, target, r, step))
-            cut[pos] += step
-            cut[target] += step
+    for r, pos, target in pairs:
+        ov = pending.pop((pos, target), None)
+        if ov is not None:
+            matched.append((pos, target))
+            if ov.rank > hi[pos] or ov.rank > hi[target]:
+                raise OverrideError(
+                    f"override rank {ov.rank} at {pos}->{target} exceeds "
+                    f"entry dimensions {hi[pos]}, {hi[target]}"
+                )
+            step = ov.rank
+            hi[pos] -= step
+            hi[target] -= step
+        else:
+            step = min(hi[pos], hi[target])
+            if step:
+                conflicts.append(Conflict(pos, target, r, step))
+        cut[pos] += step
+        cut[target] += step
 
     for ov in pending.values():
         if ov.rank > 0:

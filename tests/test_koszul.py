@@ -1,5 +1,7 @@
+import collections
 import itertools
 import json
+import pathlib
 import random
 import re
 
@@ -7,9 +9,13 @@ import pytest
 
 from dvschur.bwb import bott
 from dvschur.koszul import (
+    MAX_DEGREE,
+    ChaseResult,
+    Conflict,
     E1Page,
     OverrideError,
     RankOverride,
+    alternating_sum,
     build_complex,
     chase,
     chase_summand,
@@ -18,8 +24,11 @@ from dvschur.koszul import (
     load_overrides,
     serre_partner,
 )
-from dvschur.plethysm import koszul_factor_table
+from dvschur.partitions import normalize
+from dvschur.plethysm import WEDGE_RANK, koszul_factor_table
 from dvschur.ring import TODD, ch_oracle, integrate
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def entries_of(page):
@@ -288,19 +297,25 @@ def exact_projection(first):
     }
 
 
-def synthetic_pages(count=1500, seed=1):
-    """Seeded first pages with p <= 4, q <= 8 and 3-7 entries of dimension
-    1-3, each with its exact projection; a page with an empty projection is
-    skipped."""
+def first_pages(seed=1):
+    """Seeded first pages {(p, q): dim} with p <= 4, q <= 8 and 3-7 entries
+    of dimension 1-3, without end."""
     rng = random.Random(seed)
     cells = [(p, q) for p in range(5) for q in range(9)]
+    while True:
+        yield {pos: rng.randint(1, 3) for pos in rng.sample(cells, rng.randint(3, 7))}
+
+
+def synthetic_pages(count=1500, seed=1):
+    """The first ``count`` pages of ``first_pages`` with a nonempty exact
+    projection, each with it."""
     out = []
-    while len(out) < count:
-        first = {pos: rng.randint(1, 3) for pos in rng.sample(cells, rng.randint(3, 7))}
+    for first in first_pages(seed):
+        if len(out) == count:
+            return out
         projection = exact_projection(first)
         if projection:
             out.append((first, projection))
-    return out
 
 
 def test_chase_contains_every_spectral_sequence():
@@ -317,6 +332,111 @@ def test_chase_contains_every_spectral_sequence():
             assert lo <= low and high <= hi, (first, n, res.values[n], (low, high))
             tight += (lo, hi) == (low, high)
     assert tight >= 6961  # of 1,500 * 5 cells
+
+
+def reference_chase(page, overrides=()):
+    """The chase as a scan of every page r = 1..20 over every position."""
+    name = normalize(page.q_weight, page.twist)
+    pending = {
+        (ov.source, ov.target): ov for ov in overrides if (ov.q_weight, ov.twist) == name
+    }
+    hi = dict(page.entries)
+    cut = dict.fromkeys(hi, 0)
+    matched, conflicts = [], []
+    for r in range(1, WEDGE_RANK + 1):
+        for pos in sorted(hi):
+            p, q = pos
+            target = (p - r, q - r + 1)
+            if target not in hi:
+                continue
+            ov = pending.pop((pos, target), None)
+            if ov is not None:
+                matched.append((pos, target))
+                if ov.rank > hi[pos] or ov.rank > hi[target]:
+                    raise OverrideError(
+                        f"override rank {ov.rank} at {pos}->{target} exceeds "
+                        f"entry dimensions {hi[pos]}, {hi[target]}"
+                    )
+                step = ov.rank
+                hi[pos] -= step
+                hi[target] -= step
+            else:
+                step = min(hi[pos], hi[target])
+                if step:
+                    conflicts.append(Conflict(pos, target, r, step))
+            cut[pos] += step
+            cut[target] += step
+    for ov in pending.values():
+        if ov.rank > 0:
+            raise OverrideError(
+                f"override at {ov.source}->{ov.target} does not match any "
+                f"pair of entries on the page"
+            )
+    if alternating_sum(hi.items()) != page.euler:
+        raise ArithmeticError("chase broke the Euler characteristic")
+    values = [[0, 0] for _ in range(MAX_DEGREE + 1)]
+    stray = {}
+    for (p, q), dim in page.entries:
+        if 0 <= q - p <= MAX_DEGREE:
+            values[q - p][0] += max(0, dim - cut[p, q])
+            values[q - p][1] += hi[p, q]
+        elif hi[p, q]:
+            stray[p, q] = hi[p, q]
+    if stray and not conflicts:
+        msg = f"determinate chase left cohomology outside degrees 0..4: {stray}"
+        if matched:
+            raise OverrideError(f"{msg}, after overrides at {sorted(matched)}")
+        raise ArithmeticError(msg)
+    return ChaseResult(tuple(map(tuple, values)), tuple(conflicts), page.euler)
+
+
+def outcome(chaser, page, overrides=()):
+    """What a chase gives: its fields and the type of ``euler``, or its error."""
+    try:
+        res = chaser(page, overrides)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return res.values, res.conflicts, res.euler, type(res.euler)
+
+
+def test_chase_matches_the_scan_of_every_page_on_the_sweep_pool(preset):
+    # the summand-sweep pool of the benchmark: every summand it has recorded
+    recorded = json.loads((ROOT / "bench" / "expected.json").read_text())["summand-sweep"]
+    conflicts = 0
+    for key in recorded:
+        a, b, c, t = map(int, key.split(","))
+        page = e1_page(((a, b, c, 0), t))
+        for overrides in ((), preset):
+            want = outcome(reference_chase, page, overrides)
+            assert outcome(chase, page, overrides) == want, (key, bool(overrides))
+            conflicts += len(want[1])
+    assert len(recorded) == 1080 and conflicts > 1000
+
+
+def test_chase_matches_the_scan_of_every_page_on_synthetic_pages():
+    # the draws behind test_chase_contains_every_spectral_sequence's pages,
+    # alone and with one or two seeded overrides, mostly on pairs of entries
+    # in differential position and otherwise at a legal position from an entry
+    rng = random.Random(2)
+    seen = collections.Counter()
+    for first in itertools.islice(first_pages(), 15000):
+        page = E1Page((0, 0, 0, 0), 0, tuple(sorted(first.items())))
+        pairs = [(s, t) for s in sorted(first) for t in sorted(first)
+                 if s[0] > t[0] and t[1] - t[0] == s[1] - s[0] + 1]
+        overrides = []
+        for _ in range(rng.randint(1, 2)):
+            if pairs and rng.random() < 0.8:
+                source, target = rng.choice(pairs)
+            else:
+                source, r = rng.choice(sorted(first)), rng.randint(1, 4)
+                target = (source[0] - r, source[1] - r + 1)
+            overrides.append(RankOverride((0, 0, 0, 0), 0, source, target, rng.randint(0, 3)))
+        for chosen in ((), tuple(overrides)):
+            want = outcome(reference_chase, page, chosen)
+            assert outcome(chase, page, chosen) == want, (first, chosen)
+            seen[want[0] if len(want) == 2 else bool(want[1])] += 1
+    # results with and without conflicts, and both error classes
+    assert min(seen.values()) > 500 and len(seen) == 4
 
 
 STAIRCASE = (9, 8, 7, 6, 5, 4, 3, 2, 1, 0)

@@ -21,6 +21,9 @@ Every report is written by one code path on every CPython: no module in
 All code of the package is in its source: no module in ``src/dvschur/``
 calls ``exec`` or ``eval``.
 
+The report writer ``cli._dump`` is the one place a named tuple becomes a
+JSON object: no module in ``src/dvschur/`` reaches ``_asdict``.
+
 A cold start imports only what the CLI runs: neither ``dataclasses`` (which
 pulls in ``inspect``), ``importlib.resources`` nor ``typing``; the value
 types are ``collections.namedtuple``s.
@@ -224,12 +227,33 @@ literal_eval(text)
     assert sorted(dynamic_code(source)) == ["eval@3", "exec@2", "exec@4"]
 
 
+def asdict_uses(source: str) -> list[str]:
+    """Every reach of ``_asdict``, as an attribute or a ``getattr`` name."""
+    return [
+        f"_asdict@{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "_asdict"
+        or isinstance(node, ast.Constant) and node.value == "_asdict"
+    ]
+
+
+def test_guard_catches_asdict_uses():
+    source = """
+row = conflict._asdict()
+rows = map(Conflict._asdict, conflicts)
+getattr(canonical, "_asdict")()
+"a named tuple's _asdict keys"
+"""
+    assert sorted(asdict_uses(source)) == ["_asdict@2", "_asdict@3", "_asdict@4"]
+
+
 @pytest.mark.parametrize("finder, exempt", [
     (private_uses, set()),
     (stdout_uses, {"cli.py"}),
     (version_reads, set()),
     (dynamic_code, set()),
-], ids=["private-imports", "stdout", "version-branches", "code-from-strings"])
+    (asdict_uses, set()),
+], ids=["private-imports", "stdout", "version-branches", "code-from-strings", "asdict"])
 def test_package_modules_pass_the_scan(finder, exempt):
     files = sorted(PACKAGE.glob("*.py"))
     assert len(files) > len(MODULES) and exempt <= {path.name for path in files}
