@@ -91,20 +91,31 @@ class E1Page(namedtuple("E1Page", "q_weight twist entries")):
         return alternating_sum(self.entries)
 
 
+@cache
+def raised_columns(t: int) -> tuple[tuple[tuple[Weight, int], ...], ...]:
+    """Factor-table columns p = 0..20 raised by -t: ``(mu - t, mult)`` pairs in
+    the table's order, built once per twist for every page of that twist."""
+    return tuple(tuple((tuple(x - t for x in mu), mult) for mu, mult in column.items())
+                 for column in koszul_factor_table())
+
+
 def e1_page(cx: tuple[Weight, int]) -> E1Page:
     """The first page of Sigma_q_weight Q tensor O(twist), for ``cx = (q_weight,
-    twist)`` with twist the power of O(1): term p is factor-table column p
-    raised by -twist.  The one check that q_weight is dominant of length 4,
-    whoever built the pair (factor weights are dominant by construction).
-    Then the rule of ``bwb.bott`` without its memo, summed per position:
-    ``partitions.reflect`` of ``q_weight + (mu - twist)`` gives q, or None
-    (acyclic), and ``partitions.weyl_product`` the dimension.
+    twist)`` with twist the power of O(1): term p is column p of the cached
+    ``raised_columns(twist)``.  The one check that q_weight is dominant of
+    length 4 and twist an ``int`` (not ``bool``, and 1.0 would share its cache
+    entry), whoever built the pair.  Then the rule of ``bwb.bott`` without its
+    memo, summed per position: ``partitions.reflect`` of ``q_weight + (mu -
+    twist)`` gives q, or None (acyclic), and ``partitions.weyl_product`` the
+    dimension.
     """
     lam, t = check_dominant(cx[0], 4), cx[1]
+    if type(t) is not int:
+        raise ValueError(f"twist {t!r} is not an integer")
     dims: dict[Position, int] = {}
-    for p, column in enumerate(koszul_factor_table()):
-        for mu, mult in column.items():
-            r = reflect(lam + tuple(x - t for x in mu))
+    for p, column in enumerate(raised_columns(t)):
+        for mu, mult in column:
+            r = reflect(lam + mu)
             if r is not None:
                 pos = (p, r[0])
                 dims[pos] = dims.get(pos, 0) + mult * weyl_product(r[1])
@@ -113,11 +124,12 @@ def e1_page(cx: tuple[Weight, int]) -> E1Page:
 
 def constituents(page: E1Page, pos: Position) -> tuple[tuple[Weight, int], ...]:
     """The GL(10) pieces of the entry at ``pos`` with multiplicity: ``bwb.bott``
-    on each factor of column p raised by -twist, the answers of degree q."""
+    on each factor of column p of ``raised_columns(twist)``, the answers of
+    degree q."""
     p, q = pos
     out = []
-    for mu, mult in koszul_factor_table()[p].items():
-        res = bott(page.q_weight, tuple(x - page.twist for x in mu))
+    for mu, mult in raised_columns(page.twist)[p]:
+        res = bott(page.q_weight, mu)
         if res is not None and res.degree == q:
             out.append((res.gl10_weight, mult))
     return tuple(out)
@@ -235,7 +247,8 @@ def chase(page: E1Page, overrides=()) -> ChaseResult:
                 f"pair of entries on the page"
             )
 
-    if alternating_sum(hi.items()) != page.euler:
+    euler = page.euler
+    if alternating_sum(hi.items()) != euler:
         raise ArithmeticError("chase broke the Euler characteristic")
 
     values = [[0, 0] for _ in range(MAX_DEGREE + 1)]
@@ -251,7 +264,7 @@ def chase(page: E1Page, overrides=()) -> ChaseResult:
         if matched:  # then an override's rank is at fault, not the program
             raise OverrideError(f"{msg}, after overrides at {sorted(matched)}")
         raise ArithmeticError(msg)
-    return ChaseResult(tuple(map(tuple, values)), tuple(conflicts), page.euler)
+    return ChaseResult(tuple(map(tuple, values)), tuple(conflicts), euler)
 
 
 @cache

@@ -707,15 +707,17 @@ SPOILERS = [  # one bad field each
 ]
 
 
+ENTRY = {"q_weight": [5, 5, 2, 0], "twist": -3, "rank": 220,
+         "source": {"p": 11, "q": 12}, "target": {"p": 9, "q": 11}}
+
+
 @pytest.mark.parametrize("spoil", SPOILERS, ids=[f"spoiler{i}" for i in range(len(SPOILERS))])
 def test_every_spoiler_is_refused(tmp_path, spoil):
     # the generated net below parses too few override files to meet each one
-    entry = {"q_weight": [5, 5, 2, 0], "twist": -3, "rank": 220,
-             "source": {"p": 11, "q": 12}, "target": {"p": 9, "q": 11}}
     path = tmp_path / "ov.json"
-    path.write_text(json.dumps([entry]))
+    path.write_text(json.dumps([ENTRY]))
     assert len(load_overrides(str(path))) == 1
-    path.write_text(json.dumps([spoil(entry)]))
+    path.write_text(json.dumps([spoil(ENTRY)]))
     with pytest.raises(OverrideError, match="^override 0: "):
         load_overrides(str(path))
 
@@ -807,10 +809,21 @@ def override_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("overrides")
 
 
+def spoiled_case(argv, spoiler):
+    """A case whose override file holds ENTRY with one bad field."""
+    return [*argv, f"--overrides={FILE}"], True, json.dumps([SPOILERS[spoiler](ENTRY)])
+
+
 # without the explain phase, which traces every run of a failing case: minutes
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
-          phases=[Phase.generate, Phase.shrink])
+          phases=[Phase.explicit, Phase.generate, Phase.shrink])
 @given(case=cli_inputs())
+# the drawn files seldom hold these refusals: a negative rank, a note that is
+# not a string, no rank, and a q_weight that is a string
+@example(case=spoiled_case(["ext", "--lambda=1,0,0,0"], 6))
+@example(case=spoiled_case(["cohomology", "--lambda=5,5,2,0", "--twist=-3"], 10))
+@example(case=spoiled_case(["sym", "--m=2"], 9))
+@example(case=spoiled_case(["table1"], 11))
 def test_generated_argv_exit_status_and_output(override_dir, case):
     # exit 0, 1 or 2 and no exception; a refused input exits 1 with one
     # error line (after the usage line on a usage error) and no report; a

@@ -15,6 +15,9 @@ which takes O(-d) and stays only for ``bench/child.py``.  Two tests pin it:
 ``test_build_complex_terms`` (the benchmark's call) and
 ``test_build_complex_rejects_bad_q_weight``, one call each.
 
+A factor is raised by the twist in one place: in ``src/dvschur/koszul.py``
+only ``raised_columns``, the cached raise, calls ``koszul_factor_table``.
+
 Every report is written by one code path on every CPython: no module in
 ``src/dvschur/`` reads ``sys.version_info``.
 
@@ -144,14 +147,25 @@ log = print
     assert sorted(stdout_uses(source)) == ["print@4", "print@7", "stdout@3", "stdout@5"]
 
 
-def build_complex_calls(tree: ast.AST) -> list[str]:
-    """Every call of ``build_complex`` in the tree, by name or as an attribute."""
+def calls_of(name: str, tree: ast.AST) -> list[str]:
+    """Every call of ``name`` in the tree, by name or as an attribute."""
     return [
-        f"build_complex@{node.lineno}"
+        f"{name}@{node.lineno}"
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "build_complex"
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
     ]
+
+
+def callers(name: str, source: str) -> dict:
+    """The number of calls of ``name`` in each top-level definition of the
+    source that makes one (module level: None)."""
+    found = {}
+    for top in ast.parse(source).body:
+        if n := len(calls_of(name, top)):
+            key = getattr(top, "name", None)
+            found[key] = found.get(key, 0) + n
+    return found
 
 
 def test_guard_catches_build_complex_calls():
@@ -163,23 +177,42 @@ koszul.build_complex(lam, 0)
 f = koszul.build_complex
 e1_page((lam, t))
 """
-    assert sorted(build_complex_calls(ast.parse(source))) == [
+    assert sorted(calls_of("build_complex", ast.parse(source))) == [
         "build_complex@4", "build_complex@5"
     ]
 
 
 def test_no_module_builds_a_page_with_the_down_twist():
-    # the number of calls in each top-level definition (module level: None)
-    calls = {}
-    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            if n := len(build_complex_calls(top)):
-                key = (path.relative_to(ROOT).as_posix(), getattr(top, "name", None))
-                calls[key] = calls.get(key, 0) + n
+    calls = {
+        (path.relative_to(ROOT).as_posix(), top): n
+        for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+        for top, n in callers("build_complex", path.read_text()).items()
+    }
     assert calls == {
         ("tests/test_koszul.py", "test_build_complex_terms"): 1,
         ("tests/test_koszul.py", "test_build_complex_rejects_bad_q_weight"): 1,
     }
+
+
+def test_guard_finds_each_reader_of_the_factor_table():
+    source = """
+@cache
+def raised_columns(t):
+    return tuple(column for column in koszul_factor_table())
+def e1_page(cx):
+    for column in plethysm.koszul_factor_table():
+        koszul_factor_table()[0]
+    table = koszul_factor_table
+COLUMNS = koszul_factor_table()
+"""
+    assert callers("koszul_factor_table", source) == {
+        "raised_columns": 1, "e1_page": 2, None: 1
+    }
+
+
+def test_only_the_raise_helper_reads_the_factor_table_in_koszul():
+    source = (PACKAGE / "koszul.py").read_text()
+    assert callers("koszul_factor_table", source) == {"raised_columns": 1}
 
 
 def version_reads(source: str) -> list[str]:
