@@ -2,8 +2,9 @@
 
 A bundle is indexed by a dominant length-4 weight (quotient side) and a
 dominant length-6 weight (tautological side); entries are listed quotient
-side first.  A twist O(t) is pushed into the tautological side as mu - t
-before calling, since the determinant of the tautological bundle is O(-1).
+side first.  A twist O(t) is a power of det Q = O(1), and the determinant of
+the tautological bundle is O(-1): ``koszul.e1_page`` raises the quotient
+weight by t, and ``koszul.constituents`` lowers the tautological one to mu - t.
 
 ``bott`` is the one entry point: it validates both weights (ValueError on a
 non-dominant or wrong-length weight), applies the rule and memoises its

@@ -91,31 +91,25 @@ class E1Page(namedtuple("E1Page", "q_weight twist entries")):
         return alternating_sum(self.entries)
 
 
-@cache
-def raised_columns(t: int) -> tuple[tuple[tuple[Weight, int], ...], ...]:
-    """Factor-table columns p = 0..20 raised by -t: ``(mu - t, mult)`` pairs in
-    the table's order, built once per twist for every page of that twist."""
-    return tuple(tuple((tuple(x - t for x in mu), mult) for mu, mult in column.items())
-                 for column in koszul_factor_table())
-
-
 def e1_page(cx: tuple[Weight, int]) -> E1Page:
     """The first page of Sigma_q_weight Q tensor O(twist), for ``cx = (q_weight,
-    twist)`` with twist the power of O(1): term p is column p of the cached
-    ``raised_columns(twist)``.  The one check that q_weight is dominant of
-    length 4 and twist an ``int`` (not ``bool``, and 1.0 would share its cache
-    entry), whoever built the pair.  Then the rule of ``bwb.bott`` without its
-    memo, summed per position: ``partitions.reflect`` of ``q_weight + (mu -
-    twist)`` gives q, or None (acyclic), and ``partitions.weyl_product`` the
-    dimension.
+    twist)`` with twist the power of O(1).  O(1) is det Q, so the bundle is
+    Sigma_(q_weight + twist) Q and term p is column p of ``koszul_factor_table()``.
+    The one check that q_weight is dominant of length 4 and twist an ``int``
+    (not ``bool``; a float would make float entries), whoever built the pair.
+    Then the rule of ``bwb.bott`` without its memo, summed per position:
+    ``partitions.reflect`` of ``(q_weight + twist) + mu`` gives q, or None
+    (acyclic), and ``partitions.weyl_product`` the dimension, both as for
+    ``q_weight + (mu - twist)``, since a uniform shift changes neither.
     """
     lam, t = check_dominant(cx[0], 4), cx[1]
     if type(t) is not int:
         raise ValueError(f"twist {t!r} is not an integer")
+    up = tuple(x + t for x in lam)
     dims: dict[Position, int] = {}
-    for p, column in enumerate(raised_columns(t)):
-        for mu, mult in column:
-            r = reflect(lam + mu)
+    for p, column in enumerate(koszul_factor_table()):
+        for mu, mult in column.items():
+            r = reflect(up + mu)
             if r is not None:
                 pos = (p, r[0])
                 dims[pos] = dims.get(pos, 0) + mult * weyl_product(r[1])
@@ -124,12 +118,12 @@ def e1_page(cx: tuple[Weight, int]) -> E1Page:
 
 def constituents(page: E1Page, pos: Position) -> tuple[tuple[Weight, int], ...]:
     """The GL(10) pieces of the entry at ``pos`` with multiplicity: ``bwb.bott``
-    on each factor of column p of ``raised_columns(twist)``, the answers of
-    degree q."""
+    of q_weight and each factor of ``koszul_factor_table()`` column p lowered by
+    twist, the answers of degree q."""
     p, q = pos
     out = []
-    for mu, mult in raised_columns(page.twist)[p]:
-        res = bott(page.q_weight, mu)
+    for mu, mult in koszul_factor_table()[p].items():
+        res = bott(page.q_weight, tuple(x - page.twist for x in mu))
         if res is not None and res.degree == q:
             out.append((res.gl10_weight, mult))
     return tuple(out)

@@ -46,7 +46,7 @@ Q = Fraction
 
 class RingElement(namedtuple("RingElement", "one h h2 ch2 ch3 pt", defaults=(Q(0),) * 6)):
     """A class in the 6-dimensional subring: Fraction coefficients over the
-    fixed basis, each 0 unless given."""
+    fixed basis, each 0 unless given.  A scalar multiplies from the left."""
 
     __slots__ = ()
 
@@ -69,9 +69,7 @@ class RingElement(namedtuple("RingElement", "one h h2 ch2 ch3 pt", defaults=(Q(0
             c * self.one, c * self.h, c * self.h2, c * self.ch2, c * self.ch3, c * self.pt
         )
 
-    def __mul__(self, other) -> "RingElement":
-        if not isinstance(other, RingElement):
-            return other * self
+    def __mul__(self, other: "RingElement") -> "RingElement":
         a, b = self, other
         h3 = a.h * b.h2 + a.h2 * b.h      # h * h^2   = -264 ch3
         hc2 = a.h * b.ch2 + a.ch2 * b.h   # h * ch2   =  -18 ch3

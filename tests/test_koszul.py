@@ -22,7 +22,6 @@ from dvschur.koszul import (
     constituents,
     e1_page,
     load_overrides,
-    raised_columns,
     serre_partner,
 )
 from dvschur.partitions import normalize
@@ -39,7 +38,8 @@ def entries_of(page):
 def test_build_complex_terms():
     # the benchmark's call: Sigma_lam Q tensor O(-d) is the page pair (lam, -d)
     assert build_complex((2, 2, 0, 0), 1) == ((2, 2, 0, 0), -1)
-    # term p of the page (lam, t) is factor-table column p raised by -t
+    # term p of the page (lam, t) is factor-table column p against lam + t:
+    # the page of (lam, t) is the page of (lam + t, 0)
     table = koszul_factor_table()
     assert table[3] == {
         (3, 3, 1, 1, 1, 0): 1, (3, 2, 2, 2, 0, 0): 1, (2, 2, 2, 1, 1, 1): 1
@@ -511,29 +511,11 @@ def test_e1_page_matches_per_factor_bott():
     assert nonempty > len(cases) // 2 and negative > len(cases) // 4
 
 
-def test_raised_columns_are_the_factor_table_raised():
-    table = koszul_factor_table()
-    for t in range(-25, 6):
-        columns = raised_columns(t)
-        assert len(columns) == len(table)
-        for column, factors in zip(columns, table):
-            assert column == tuple((tuple(x - t for x in mu), n) for mu, n in factors.items())
-            assert all(type(x) is int for mu, _ in column for x in mu)
-    # a page of a twist the cache holds is the page of a cold cache
-    cached = e1_page(((3, 1, 0, 0), -2))
-    raised_columns.cache_clear()
-    assert e1_page(((3, 1, 0, 0), -2)) == cached
-
-
 @pytest.mark.parametrize("twist", [1.0, True, "1"])
 def test_e1_page_refuses_a_twist_that_is_not_an_int(twist):
-    # 1.0 and True hash like 1: a page of either would share the raised
-    # columns of twist 1 in the cache (repr tells 1.0 from 1)
+    # a float twist would raise q_weight to floats and make float entries
     with pytest.raises(ValueError, match="twist .* is not an integer"):
         e1_page(((2, 1, 0, 0), twist))
-    page = e1_page(((3, 1, 0, 0), 1))
-    raised_columns.cache_clear()
-    assert repr(e1_page(((3, 1, 0, 0), 1))) == repr(page)
 
 
 def test_e1_page_alternating_sum_is_hrr():

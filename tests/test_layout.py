@@ -15,8 +15,9 @@ which takes O(-d) and stays only for ``bench/child.py``.  Two tests pin it:
 ``test_build_complex_terms`` (the benchmark's call) and
 ``test_build_complex_rejects_bad_q_weight``, one call each.
 
-A factor is raised by the twist in one place: in ``src/dvschur/koszul.py``
-only ``raised_columns``, the cached raise, calls ``koszul_factor_table``.
+The twist is a power of det Q, so a page raises its weight, not the factor
+table: in ``src/dvschur/koszul.py`` only ``e1_page`` and ``constituents``
+call ``koszul_factor_table``, once each.
 
 Every report is written by one code path on every CPython: no module in
 ``src/dvschur/`` reads ``sys.version_info``.
@@ -197,7 +198,7 @@ def test_no_module_builds_a_page_with_the_down_twist():
 def test_guard_finds_each_reader_of_the_factor_table():
     source = """
 @cache
-def raised_columns(t):
+def columns(t):
     return tuple(column for column in koszul_factor_table())
 def e1_page(cx):
     for column in plethysm.koszul_factor_table():
@@ -206,13 +207,13 @@ def e1_page(cx):
 COLUMNS = koszul_factor_table()
 """
     assert callers("koszul_factor_table", source) == {
-        "raised_columns": 1, "e1_page": 2, None: 1
+        "columns": 1, "e1_page": 2, None: 1
     }
 
 
-def test_only_the_raise_helper_reads_the_factor_table_in_koszul():
+def test_only_the_page_and_constituents_read_the_factor_table_in_koszul():
     source = (PACKAGE / "koszul.py").read_text()
-    assert callers("koszul_factor_table", source) == {"raised_columns": 1}
+    assert callers("koszul_factor_table", source) == {"e1_page": 1, "constituents": 1}
 
 
 def version_reads(source: str) -> list[str]:
