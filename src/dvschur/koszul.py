@@ -6,7 +6,9 @@ and taking cohomology termwise gives a first page whose entry at (p, q) is
 the degree-q cohomology of the p-th term; a potential differential at page r
 connects (p, q) to (p-r, q-r+1) and raises the total degree q-p by one.  The
 chase reads only the dimension of each entry, so the page holds just that;
-``constituents`` lists the GL(10) pieces of one entry on demand.
+``constituents`` lists the GL(10) pieces of one entry on demand.  K_X is
+trivial, so phi(p, q) = (20 - p, 24 - q) maps a page onto its Serre
+partner's, and a summand that is its own partner builds half its page.
 
 When two nonzero entries sit in differential position the chase alone cannot
 decide the rank of the connecting map; such positions are reported as
@@ -101,18 +103,25 @@ def e1_page(cx: tuple[Weight, int]) -> E1Page:
     ``partitions.reflect`` of ``(q_weight + twist) + mu`` gives q, or None
     (acyclic), and ``partitions.weyl_product`` the dimension, both as for
     ``q_weight + (mu - twist)``, since a uniform shift changes neither.
+    A summand that is its own ``serre_partner`` walks columns 0..10 only and
+    mirrors columns 0..9 by phi(p, q) = (20 - p, 24 - q) onto 11..20.
     """
     lam, t = check_dominant(cx[0], 4), cx[1]
     if type(t) is not int:
         raise ValueError(f"twist {t!r} is not an integer")
     up = tuple(x + t for x in lam)
+    half = normalize(lam, t) == serre_partner(lam, t)
+    last = WEDGE_RANK // 2 if half else WEDGE_RANK
     dims: dict[Position, int] = {}
-    for p, column in enumerate(koszul_factor_table()):
+    for p, column in enumerate(koszul_factor_table()[:last + 1]):
         for mu, mult in column.items():
             r = reflect(up + mu)
             if r is not None:
                 pos = (p, r[0])
                 dims[pos] = dims.get(pos, 0) + mult * weyl_product(r[1])
+    if half:  # phi(p, q) = (20 - p, 24 - q) maps the page onto itself
+        dims.update([((WEDGE_RANK - p, DIM_GR - q), dim)
+                     for (p, q), dim in dims.items() if p < last])
     return E1Page(lam, t, tuple(sorted(dims.items())))
 
 
@@ -173,16 +182,17 @@ class ChaseResult(namedtuple("ChaseResult", "values conflicts euler"), Cohomolog
         first, onto the partner's; sorted by (page, source), as the chase emits.
         ``euler`` is this page's: chi(F) = chi(F^*), up to ``alternating_sum``'s rounding.
         """
-        def phi(p, q):
-            return WEDGE_RANK - p, DIM_GR - q
-        dual = [Conflict(phi(*c.target), phi(*c.source), c.page, c.cap)
-                for c in self.conflicts]
-        dual.sort(key=lambda c: (c.page, c.source))
-        return ChaseResult(tuple(reversed(self.values)), tuple(dual), self.euler)
+        dual = sorted(  # (page, source) is unique, so no two tuples tie on it
+            (r, (WEDGE_RANK - pp, DIM_GR - qq), (WEDGE_RANK - p, DIM_GR - q), cap)
+            for (p, q), (pp, qq), r, cap in self.conflicts
+        )
+        conflicts = tuple(Conflict(source, target, r, cap) for r, source, target, cap in dual)
+        return ChaseResult(tuple(reversed(self.values)), conflicts, self.euler)
 
 
 def serre_partner(q_weight: Weight, twist: int) -> tuple[Weight, int]:
-    """The summand (last weight entry 0) whose H^(4-n) is H^n of this one."""
+    """The summand whose H^(4-n) is H^n of this one, ``normalize``d whatever
+    name this one is given: ``serre_partner((1,1,1,1), 0)`` is O(-1)."""
     return shifted_dual(q_weight), -twist - q_weight[0]
 
 

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from dvschur import koszul
 from dvschur.bwb import bott
 from dvschur.koszul import (
     MAX_DEGREE,
@@ -24,7 +25,7 @@ from dvschur.koszul import (
     load_overrides,
     serre_partner,
 )
-from dvschur.partitions import normalize
+from dvschur.partitions import normalize, reflect
 from dvschur.plethysm import WEDGE_RANK, koszul_factor_table
 from dvschur.ring import TODD, ch_oracle, integrate
 
@@ -511,6 +512,38 @@ def test_e1_page_matches_per_factor_bott():
     assert nonempty > len(cases) // 2 and negative > len(cases) // 4
 
 
+def test_self_dual_page_is_built_from_half_its_columns(monkeypatch):
+    # ((a,b,a-b,0), -a/2) is its own Serre partner under any name, so its page
+    # evaluates columns 0..10 of the factor table (88 of the 156 factors) and
+    # mirrors the rest by phi(p, q) = (20 - p, 24 - q); the twists next to it
+    # are not self-dual and evaluate all 156
+    assert serre_partner((1, 1, 1, 1), 0) == ((0, 0, 0, 0), -1)  # O(1) and O(-1)
+    assert serre_partner((2, 1, 1, 0), -1) == ((2, 1, 1, 0), -1)
+    table = koszul_factor_table()
+    half, full = sum(map(len, table[:WEDGE_RANK // 2 + 1])), sum(map(len, table))
+    assert (half, full) == (88, 156)
+    evaluated = []
+    monkeypatch.setattr(koszul, "reflect", lambda w: evaluated.append(w) or reflect(w))
+    cases = {}
+    for a in range(0, 17, 2):
+        for b in range(a // 2, a + 1):
+            for k in (0, -2, 3):
+                cases[(a + k, b + k, a - b + k, k), -a // 2 - k] = half
+            for t in (-a // 2 - 1, -a // 2 + 1):
+                cases[(a, b, a - b, 0), t] = full
+    for (lam, t), evaluations in cases.items():
+        evaluated.clear()
+        page = e1_page((lam, t))
+        assert len(evaluated) == evaluations, (lam, t)
+        entries, parts = reference_page(lam, t)
+        assert page.entries == entries, (lam, t)
+        assert {pos: constituents(page, pos) for pos, _ in entries} == parts, (lam, t)
+        if evaluations == half:
+            dims = dict(entries)
+            assert all(dims.get((20 - p, 24 - q)) == dim for (p, q), dim in entries), (lam, t)
+    assert collections.Counter(cases.values()) == {half: 135, full: 90}
+
+
 @pytest.mark.parametrize("twist", [1.0, True, "1"])
 def test_e1_page_refuses_a_twist_that_is_not_an_int(twist):
     # a float twist would raise q_weight to floats and make float entries
@@ -645,8 +678,9 @@ def test_serre_duality_mirrors_intervals(use_preset, preset):
 
 def test_serre_dual_is_the_direct_chase():
     # without overrides the mirrored chase of the partner page is the chase
-    # of the page, conflict order and Euler characteristic included
-    pairs = several = 0  # several: pages with more than one conflict to order
+    # of the page, conflict order and Euler characteristic included; a key
+    # that is its own partner builds half its page and meets its own mirror
+    pairs = several = own = 0  # several: pages with more than one conflict to order
     for a in range(8):
         for b in range(a + 1):
             for c in range(b + 1):
@@ -664,4 +698,6 @@ def test_serre_dual_is_the_direct_chase():
                     assert mirrored.euler == direct.euler, key
                     pairs += 1
                     several += len(direct.conflicts) > 1
+                    own += partner == key
     assert pairs == 620 and several > 100
+    assert own == 1 + 2 + 3 + 4  # ((a, b, a-b, 0), -a/2) for a = 0, 2, 4, 6
